@@ -8,7 +8,9 @@ cell, and validation cross-checks that cells agree on shared faces and that
 the family is closed under pairwise intersection.
 
 Objects are immutable after construction and safe to share; derived data
-(incidence maps, link Euler characteristics) is computed lazily and cached.
+(incidence maps, link Euler characteristics, ridge degrees, the boundary,
+topological flags, h-vectors and vertex-link h- and g-vectors) is computed
+lazily and cached on the object.
 """
 
 from __future__ import annotations
@@ -17,6 +19,19 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Union
+
+from .vectors import (
+    FVector,
+    GVector,
+    HVector,
+    _neg_pow,
+    f_vector,
+    g_vector,
+    h_long_cubical,
+    h_short_cubical_from_f,
+    h_simplicial,
+    reduced_euler,
+)
 
 FaceKey = frozenset
 
@@ -164,7 +179,70 @@ def _facet_key_set(corners: tuple[int, ...], dim: int) -> frozenset:
     )
 
 
-class CubicalComplex:
+class _Derived:
+    """Views both kinds derive the same way; the cached ones are computed on
+    first use.
+
+    A subclass supplies ``faces``, ``faces_by_dim``, ``pure``,
+    ``_ridge_degrees`` (the sweep over a pure complex), ``_face_dim`` of a
+    face key and ``_close_ridges``.
+    """
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
+
+    def __contains__(self, key: Iterable[int]) -> bool:
+        return frozenset(key) in self.faces
+
+    def f_counts(self) -> tuple[int, ...]:
+        """Number of i-dimensional faces for i = 0..dim (empty face excluded)."""
+        return tuple(len(row) for row in self.faces_by_dim)
+
+    def ridge_degrees(self) -> dict[FaceKey, int]:
+        """How many facets contain each ridge.  Needs a pure complex."""
+        if not self.pure:
+            raise NotPure("ridge degrees are only defined for pure complexes")
+        return self._ridge_degrees
+
+    @cached_property
+    def pseudomanifold(self) -> bool:
+        """Pure with every ridge in exactly two facets (two vertices when dim 0)."""
+        if not self.pure:
+            raise NotPure("pseudomanifold test needs a pure complex")
+        if self.dim < 0:
+            return False
+        if self.dim == 0:
+            return len(self.vertices) == 2
+        return all(n == 2 for n in self._ridge_degrees.values())
+
+    @cached_property
+    def semi_eulerian(self) -> bool:
+        """Every nonempty face link has the Euler characteristic of a sphere."""
+        if not self.pure:
+            raise NotPure("the Euler condition is checked on pure complexes")
+        d = self.dim
+        return all(
+            value == _neg_pow(d - self._face_dim(key) - 1)
+            for key, value in self.link_euler.items()
+        )
+
+    @cached_property
+    def eulerian(self) -> bool:
+        """Semi-Eulerian with the global Euler characteristic of the d-sphere."""
+        return self.semi_eulerian and reduced_euler(self) == _neg_pow(self.dim)
+
+    @cached_property
+    def boundary(self):
+        """Closure of the ridges lying in exactly one facet; empty when closed."""
+        if self.dim <= 0:
+            if not self.pure:
+                raise NotPure("boundary needs a pure complex")
+            return self.empty()
+        free = [key for key, n in self.ridge_degrees().items() if n == 1]
+        return self._close_ridges(free) if free else self.empty()
+
+
+class CubicalComplex(_Derived):
     """Subface closure of a set of cubical cells, keyed by vertex set."""
 
     kind = "cubical"
@@ -288,12 +366,6 @@ class CubicalComplex:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return f"CubicalComplex(dim={self.dim}, f={self.f_counts()})"
-
-    def __contains__(self, key: Iterable[int]) -> bool:
-        return frozenset(key) in self.faces
-
     def face(self, key: Iterable[int]) -> Face:
         try:
             return self.faces[frozenset(key)]
@@ -314,10 +386,6 @@ class CubicalComplex:
         if self.dim < 0:
             return ()
         return tuple(sorted(next(iter(f.key)) for f in self.faces_by_dim[0]))
-
-    def f_counts(self) -> tuple[int, ...]:
-        """Number of i-dimensional faces for i = 0..dim (empty face excluded)."""
-        return tuple(len(row) for row in self.faces_by_dim)
 
     @cached_property
     def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
@@ -357,22 +425,64 @@ class CubicalComplex:
                 acc[key] += -1 if (gdim - j - 1) % 2 else 1
         return acc
 
-    def ridge_degrees(self) -> dict[FaceKey, int]:
-        """How many facets contain each ridge.  Needs a pure complex."""
-        if any(c.dim != self.dim for c in self.cells):
-            raise NotPure("ridge degrees are only defined for pure complexes")
+    @cached_property
+    def pure(self) -> bool:
+        """All inclusion-maximal faces share the top dimension."""
+        return all(cell.dim == self.dim for cell in self.cells)
+
+    def _face_dim(self, key: FaceKey) -> int:
+        return self.faces[key].dim
+
+    @cached_property
+    def _ridge_degrees(self) -> dict[FaceKey, int]:
         deg: dict[FaceKey, int] = {}
         if self.dim < 1:
             return deg
+        faces = self.faces
         for cell in self.cells:
             corners = cell.corners
             for _, idxs in _facet_tables(cell.dim):
-                key = frozenset([corners[i] for i in idxs])
+                # The face's own key object, so the kept table holds no copies.
+                key = faces[frozenset([corners[i] for i in idxs])].key
                 deg[key] = deg.get(key, 0) + 1
         return deg
 
+    def _close_ridges(self, keys: list) -> "CubicalComplex":
+        free = sorted((self.faces[k] for k in keys), key=_face_order)
+        return CubicalComplex.from_cells(
+            [CubicalCell(f.dim, f.corners) for f in free], validate=False
+        )
 
-class SimplicialComplex:
+    @cached_property
+    def h_short(self) -> HVector:
+        """Short cubical h-vector from the face counts."""
+        return h_short_cubical_from_f(f_vector(self))
+
+    @cached_property
+    def h_long(self) -> HVector:
+        """Long cubical h-vector from the short one."""
+        return h_long_cubical(self.h_short)
+
+    @cached_property
+    def link_h_vectors(self) -> dict[int, HVector]:
+        """Simplicial h-vector of every vertex link, taken at ambient rank d.
+
+        Link face counts are read off the vertex coface counts; the common
+        rank keeps the vectors comparable on non-pure complexes.
+        """
+        d = self.dim
+        return {
+            v: h_simplicial(FVector("simplicial", d - 1, (1,) + counts[1:]), rank=d)
+            for v, counts in self.vertex_coface_counts.items()
+        }
+
+    @cached_property
+    def link_g_vectors(self) -> dict[int, GVector]:
+        """g-vector of every vertex link, entries g_0 .. g_d."""
+        return {v: g_vector(h, upto=self.dim) for v, h in self.link_h_vectors.items()}
+
+
+class SimplicialComplex(_Derived):
     """A downward closed family of vertex sets (the empty face is implicit)."""
 
     kind = "simplicial"
@@ -426,12 +536,6 @@ class SimplicialComplex:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return f"SimplicialComplex(dim={self.dim}, f={self.f_counts()})"
-
-    def __contains__(self, key: Iterable[int]) -> bool:
-        return frozenset(key) in self.faces
-
     @cached_property
     def faces_by_dim(self) -> tuple[tuple[frozenset, ...], ...]:
         rows: list[list[frozenset]] = [[] for _ in range(self.dim + 1)]
@@ -446,9 +550,6 @@ class SimplicialComplex:
         if self.dim < 0:
             return ()
         return tuple(sorted(next(iter(f)) for f in self.faces_by_dim[0]))
-
-    def f_counts(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.faces_by_dim)
 
     def link(self, v: int) -> "SimplicialComplex":
         if frozenset((v,)) not in self.faces:
@@ -469,17 +570,37 @@ class SimplicialComplex:
                     acc[frozenset(sub)] += -1 if (gdim - r) % 2 else 1
         return acc
 
-    def ridge_degrees(self) -> dict[frozenset, int]:
-        if any(len(c) - 1 != self.dim for c in self.cells):
-            raise NotPure("ridge degrees are only defined for pure complexes")
+    @cached_property
+    def pure(self) -> bool:
+        return all(len(cell) - 1 == self.dim for cell in self.cells)
+
+    def _face_dim(self, key: frozenset) -> int:
+        return len(key) - 1
+
+    @cached_property
+    def _ridge_degrees(self) -> dict[frozenset, int]:
         deg: dict[frozenset, int] = {}
         if self.dim < 1:
             return deg
+        # This complex's own ridge objects, so the kept table holds no copies.
+        ridges = {f: f for f in self.faces if len(f) == self.dim}
         for c in self.cells:
             for v in c:
-                r = c - {v}
+                r = ridges[c - {v}]
                 deg[r] = deg.get(r, 0) + 1
         return deg
+
+    def _close_ridges(self, keys: list) -> "SimplicialComplex":
+        # Closed up from this complex's own face objects rather than copies.
+        own = {f: f for f in self.faces}
+        faces = frozenset(
+            own[frozenset(sub)]
+            for r in keys
+            for n in range(1, len(r) + 1)
+            for sub in combinations(r, n)
+        )
+        cells = tuple(sorted(keys, key=lambda k: tuple(sorted(k))))
+        return SimplicialComplex(faces, cells, self.dim - 1)
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]
@@ -594,31 +715,4 @@ def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
 
 def boundary_complex(C: Complex) -> Complex:
     """Closure of the ridges lying in exactly one facet; empty when closed."""
-    if C.kind == "cubical":
-        return _cubical_boundary(C)
-    return _simplicial_boundary(C)
-
-
-def _cubical_boundary(K: CubicalComplex) -> CubicalComplex:
-    if K.dim <= 0:
-        if any(c.dim != K.dim for c in K.cells):
-            raise NotPure("boundary needs a pure complex")
-        return CubicalComplex.empty()
-    free = [K.faces[k] for k, n in K.ridge_degrees().items() if n == 1]
-    if not free:
-        return CubicalComplex.empty()
-    free.sort(key=_face_order)
-    return CubicalComplex.from_cells(
-        [CubicalCell(f.dim, f.corners) for f in free], validate=False
-    )
-
-
-def _simplicial_boundary(S: SimplicialComplex) -> SimplicialComplex:
-    if S.dim <= 0:
-        if any(len(c) - 1 != S.dim for c in S.cells):
-            raise NotPure("boundary needs a pure complex")
-        return SimplicialComplex.empty()
-    free = [k for k, n in S.ridge_degrees().items() if n == 1]
-    if not free:
-        return SimplicialComplex.empty()
-    return SimplicialComplex.from_facets(free)
+    return C.boundary

@@ -110,6 +110,8 @@ def parses(text: str) -> GeneratedComplex:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except RecursionError:
+        raise ParseError("the document nests arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - _KNOWN_FIELDS)

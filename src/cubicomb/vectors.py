@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
-from .complexes import Complex, CubicalComplex
+if TYPE_CHECKING:
+    from .complexes import Complex, CubicalComplex
 
 __all__ = [
     "FVector",
@@ -150,10 +152,7 @@ def h_short_cubical_from_links(K: CubicalComplex) -> HVector:
     if d < 0:
         raise ValueError("short cubical h-vector needs dimension >= 0")
     totals = [0] * (d + 1)
-    for v in K.vertices:
-        counts = K.vertex_coface_counts[v]
-        link_f = FVector("simplicial", d - 1, (1,) + counts[1:])
-        link_h = h_simplicial(link_f, rank=d)
+    for link_h in K.link_h_vectors.values():
         for j, value in enumerate(link_h.entries):
             totals[j] += value
     return HVector("short_cubical", d, tuple(totals))

@@ -3,14 +3,17 @@
 Verifiers accept either a bare complex or a generated complex carrying
 topology metadata; stated hypotheses (sphere or ball flags, parity of the
 dimension, Euler conditions, per-vertex premises) become preconditions of
-the report.  Checks always store both compared sides exactly.
+the report.  Checks always store both compared sides exactly.  The facts
+gates and checks share are cached on the complex, so each is computed once
+however many verifiers run.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
+from typing import Callable, NamedTuple
 
-from .complexes import NotPure
 from .macaulay import pseudopower
 from .report import Check, Precondition, make_report, VerificationReport
 from .vectors import (
@@ -52,97 +55,228 @@ __all__ = [
 ]
 
 
-def _sphere_chi(m: int) -> int:
-    """Reduced Euler characteristic of the m-sphere; -1 for m = -1."""
-    return 1 if m % 2 == 0 else -1
-
-
-def _parts(x):
-    C = getattr(x, "complex", x)
-    return C, getattr(x, "topology", "none"), bool(getattr(x, "polytopal", False))
-
-
 def is_pure(C) -> bool:
     """All inclusion-maximal faces share the top dimension."""
-    if C.kind == "cubical":
-        return all(cell.dim == C.dim for cell in C.cells)
-    return all(len(cell) - 1 == C.dim for cell in C.cells)
+    return C.pure
 
 
 def is_pseudomanifold(C) -> bool:
     """Pure with every ridge in exactly two facets (two vertices when dim 0)."""
-    if not is_pure(C):
-        raise NotPure("pseudomanifold test needs a pure complex")
-    if C.dim < 0:
-        return False
-    if C.dim == 0:
-        return len(C.vertices) == 2
-    return all(n == 2 for n in C.ridge_degrees().values())
+    return C.pseudomanifold
 
 
 def is_semi_eulerian(K) -> bool:
     """Every nonempty face link has the Euler characteristic of a sphere."""
-    if not is_pure(K):
-        raise NotPure("the Euler condition is checked on pure complexes")
-    d = K.dim
-    if K.kind == "cubical":
-        dim_of = {key: K.faces[key].dim for key in K.link_euler}
-    else:
-        dim_of = {key: len(key) - 1 for key in K.link_euler}
-    return all(
-        value == _sphere_chi(d - dim_of[key] - 1) for key, value in K.link_euler.items()
-    )
+    return K.semi_eulerian
 
 
 def is_eulerian(K) -> bool:
     """Semi-Eulerian with the global Euler characteristic of the d-sphere."""
-    return is_semi_eulerian(K) and reduced_euler(K) == _sphere_chi(K.dim)
+    return K.eulerian
 
 
-def _link_h_vectors(K) -> dict[int, HVector]:
-    """Simplicial h-vector of every vertex link, taken at ambient rank d."""
-    d = K.dim
-    out = {}
-    for v in K.vertices:
-        counts = K.vertex_coface_counts[v]
-        link_f = FVector("simplicial", d - 1, (1,) + counts[1:])
-        out[v] = h_simplicial(link_f, rank=d)
-    return out
+class Subject(NamedTuple):
+    """A complex under verification with the topology flags it carries."""
+
+    C: object
+    topology: str
+    polytopal: bool
 
 
-def _cubical_gate(x, name: str):
-    """Shared precondition prefix: cubical, nonempty, pure."""
-    C, topo, poly = _parts(x)
-    pre = [Precondition("cubical complex", C.kind == "cubical")]
-    if C.kind != "cubical":
-        return C, topo, poly, pre, make_report(name, pre)
-    pre.append(Precondition("nonempty", C.dim >= 0, f"dim {C.dim}"))
-    if C.dim < 0:
-        return C, topo, poly, pre, make_report(name, pre)
-    pure = is_pure(C)
-    pre.append(Precondition("pure", pure))
-    if not pure:
-        return C, topo, poly, pre, make_report(name, pre)
-    return C, topo, poly, pre, None
+def _subject(x) -> Subject:
+    C = getattr(x, "complex", x)
+    return Subject(C, getattr(x, "topology", "none"), bool(getattr(x, "polytopal", False)))
 
 
-def verify_adin_ds(x) -> VerificationReport:
+Gate = Callable[[Subject], Precondition]
+
+
+class Advisory(NamedTuple):
+    """A gate whose unmet precondition is recorded but does not stop the checks."""
+
+    gate: Gate
+
+
+# ------------------------------------------------------------------ the gates
+
+
+def _kind(kind: str) -> Gate:
+    return lambda s: Precondition(f"{kind} complex", s.C.kind == kind)
+
+
+def _nonempty(s: Subject) -> Precondition:
+    return Precondition("nonempty", s.C.dim >= 0, f"dim {s.C.dim}")
+
+
+def _pure(s: Subject) -> Precondition:
+    return Precondition("pure", s.C.pure)
+
+
+def _dim_at_least(n: int) -> Gate:
+    return lambda s: Precondition(f"dimension >= {n}", s.C.dim >= n, f"dim {s.C.dim}")
+
+
+def _dim_four(s: Subject) -> Precondition:
+    return Precondition("dimension 4", s.C.dim == 4, f"dim {s.C.dim}")
+
+
+def _even_dim(s: Subject) -> Precondition:
+    d = s.C.dim
+    return Precondition("even dimension >= 2", d >= 2 and d % 2 == 0, f"dim {d}")
+
+
+def _pseudomanifold(s: Subject) -> Precondition:
+    return Precondition("closed pseudomanifold", s.C.pseudomanifold)
+
+
+def _semi_eulerian(s: Subject) -> Precondition:
+    return Precondition("semi-Eulerian", s.C.semi_eulerian, f"reduced Euler {reduced_euler(s.C)}")
+
+
+def _eulerian(s: Subject) -> Precondition:
+    return Precondition("Eulerian", s.C.eulerian, f"reduced Euler {reduced_euler(s.C)}")
+
+
+def _reduced_euler_zero(s: Subject) -> Precondition:
+    chi = reduced_euler(s.C)
+    return Precondition("reduced Euler 0", chi == 0, f"reduced Euler {chi}")
+
+
+def _sphere(s: Subject) -> Precondition:
+    return Precondition("flagged as a sphere", s.topology == "sphere", f"topology {s.topology}")
+
+
+def _ball(s: Subject) -> Precondition:
+    return Precondition("flagged as a ball", s.topology == "ball", f"topology {s.topology}")
+
+
+def _polytopal(s: Subject) -> Precondition:
+    return Precondition("flagged polytopal", s.polytopal)
+
+
+def _with_boundary(s: Subject) -> Precondition:
+    return Precondition(
+        "flagged as a manifold with boundary",
+        s.topology in ("ball", "manifold-with-boundary"),
+        f"topology {s.topology}",
+    )
+
+
+def _ridges_in_one_or_two(s: Subject) -> Precondition:
+    degrees = set(s.C.ridge_degrees().values())
+    return Precondition(
+        "every ridge lies in one or two facets", degrees <= {1, 2}, f"degrees {sorted(degrees)}"
+    )
+
+
+def _nonempty_boundary(s: Subject) -> Precondition:
+    bdim = s.C.boundary.dim
+    return Precondition("nonempty boundary", bdim >= 0, f"boundary dim {bdim}")
+
+
+def _nonempty_boundary_unless_point(s: Subject) -> Precondition:
+    bdim = s.C.boundary.dim
+    return Precondition(
+        "nonempty boundary (a point may have none)",
+        bdim >= 0 or s.C.dim == 0,
+        f"boundary dim {bdim}",
+    )
+
+
+def _flat_vertex_links(s: Subject) -> Precondition:
+    d = s.C.dim
+    uneven = [(v, h.entries) for v, h in s.C.link_h_vectors.items() if len(set(h.entries[1:d])) > 1]
+    return Precondition(
+        "every vertex link has h_1 = ... = h_{d-1}",
+        not uneven,
+        "" if not uneven else f"vertex {uneven[0][0]} has link h {uneven[0][1]}",
+    )
+
+
+def _link_g2_at_most_2(s: Subject) -> Precondition:
+    link_g = s.C.link_g_vectors
+    worst = max(link_g, key=lambda v: link_g[v].g(2))
+    return Precondition(
+        "every vertex link has g_2 <= 2",
+        link_g[worst].g(2) <= 2,
+        f"max g_2(lk v) = {link_g[worst].g(2)} at vertex {worst}",
+    )
+
+
+def _small_vertex_links(s: Subject) -> Precondition:
+    k = s.C.dim // 2
+    counts = s.C.vertex_coface_counts
+    fat = [v for v, n in counts.items() if n[1] not in (2 * k + 1, 2 * k + 2)]
+    return Precondition(
+        "every vertex link has 2k+1 or 2k+2 vertices",
+        not fat,
+        "" if not fat else f"vertex {fat[0]} has {counts[fat[0]][1]} link vertices",
+    )
+
+
+_NONEMPTY_PURE = ((_nonempty,), (_pure,))
+_EULERIAN_SPHERE = _NONEMPTY_PURE + ((_sphere, _even_dim), (_eulerian,))
+_EULERIAN_POLYTOPAL_SPHERE = _NONEMPTY_PURE + ((_sphere, _polytopal, _even_dim), (_eulerian,))
+
+
+# --------------------------------------------------------------- the registry
+
+
+@dataclass(frozen=True)
+class Verifier:
+    """One registry entry: gate stages run in order, then the checks.
+
+    The report stops after the first stage with an unmet precondition that
+    is not advisory; the checks run only when every stage lets them.
+    """
+
+    name: str
+    kind: str
+    suite: str
+    stages: tuple[tuple[Gate | Advisory, ...], ...]
+    checks: Callable[[object], list[Check]]
+
+    def __call__(self, x) -> VerificationReport:
+        s = _subject(x)
+        pre = []
+        for stage in self.stages:
+            blocked = False
+            for gate in stage:
+                advisory = isinstance(gate, Advisory)
+                p = (gate.gate if advisory else gate)(s)
+                pre.append(p)
+                blocked = blocked or not (p.ok or advisory)
+            if blocked:
+                return make_report(self.name, pre)
+        return make_report(self.name, pre, self.checks(s.C))
+
+
+# Filled by @_verifier in definition order; the suite tables derive from it.
+REGISTRY: list[Verifier] = []
+
+
+def _verifier(name: str, suite: str, *stages, kind: str = "cubical"):
+    """Register the decorated checks function under ``name`` in ``suite``."""
+
+    def register(checks) -> Verifier:
+        entry = Verifier(name, kind, suite, ((_kind(kind),),) + stages, checks)
+        REGISTRY.append(entry)
+        return entry
+
+    return register
+
+
+# ------------------------------------------------------------ the verifiers
+
+
+@_verifier("adin-dehn-sommerville", "adin-ds", *_NONEMPTY_PURE, (_semi_eulerian,))
+def verify_adin_ds(C) -> list[Check]:
     """Dehn-Sommerville for closed complexes: paired long cubical h-entries
     differ by a multiple of the Euler characteristic defect, and the short
     cubical h-vector is symmetric."""
-    name = "adin-dehn-sommerville"
-    C, _, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    semi = is_semi_eulerian(C)
-    chi = reduced_euler(C)
-    pre.append(Precondition("semi-Eulerian", semi, f"reduced Euler {chi}"))
-    if not semi:
-        return make_report(name, pre)
     d = C.dim
-    hsc = h_short_cubical_from_f(f_vector(C))
-    hc = h_long_cubical(hsc)
-    defect = chi - _sphere_chi(d)
+    hsc, hc = C.h_short, C.h_long
+    defect = reduced_euler(C) - _neg_pow(d)
     checks = [
         Check(f"long i={i}", hc.h(d + 1 - i) - hc.h(i), _neg_pow(i) * (-2) ** d * defect)
         for i in range(d + 2)
@@ -150,46 +284,33 @@ def verify_adin_ds(x) -> VerificationReport:
     checks += [
         Check(f"short-symmetry i={i}", hsc.h(i), hsc.h(d - i)) for i in range(d + 1)
     ]
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_vertex_pair_bound(x) -> VerificationReport:
+@_verifier("vertex-pair-bound", "lbt", (_dim_at_least(1),))
+def verify_vertex_pair_bound(C) -> list[Check]:
     """The weighted face count sum_i 2^i f_i is at most f_0^2, with the
     refined form sum_{i>=1} 2^{i-1} f_i <= C(f_0, 2)."""
-    name = "vertex-pair-bound"
-    C, _, _ = _parts(x)
-    pre = [Precondition("cubical complex", C.kind == "cubical")]
-    if C.kind != "cubical":
-        return make_report(name, pre)
-    pre.append(Precondition("dimension >= 1", C.dim >= 1, f"dim {C.dim}"))
-    if C.dim < 1:
-        return make_report(name, pre)
     f = f_vector(C)
     d = C.dim
     total = sum((1 << i) * f.f(i) for i in range(d + 1))
     positive = sum((1 << (i - 1)) * f.f(i) for i in range(1, d + 1))
-    checks = [
+    return [
         Check("sum 2^i f_i <= f_0^2", total, f.f(0) ** 2, "<="),
         Check("sum_{i>=1} 2^(i-1) f_i <= C(f_0, 2)", positive, comb(f.f(0), 2), "<="),
     ]
-    return make_report(name, pre, checks)
 
 
-def verify_vertex_lower_bound(x) -> VerificationReport:
+_CLOSED = _NONEMPTY_PURE + ((_pseudomanifold, _dim_at_least(2)),)
+
+
+@_verifier("vertex-count-lower-bound", "lbt", *_CLOSED)
+def verify_vertex_lower_bound(C) -> list[Check]:
     """Closed pseudomanifolds of dimension >= 2 need at least 2^(d+1)
     vertices; the proof chain and its equality case are checked too."""
-    name = "vertex-count-lower-bound"
-    C, _, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    pm = is_pseudomanifold(C)
-    pre.append(Precondition("closed pseudomanifold", pm))
-    pre.append(Precondition("dimension >= 2", C.dim >= 2, f"dim {C.dim}"))
-    if not pm or C.dim < 2:
-        return make_report(name, pre)
     d = C.dim
     f = f_vector(C)
-    hc = h_long_cubical(C)
+    hc = C.h_long
     f0 = f.f(0)
     total = sum((1 << i) * f.f(i) for i in range(d + 1))
     floor = f0 * ((1 << (d + 1)) - 1)
@@ -198,28 +319,20 @@ def verify_vertex_lower_bound(x) -> VerificationReport:
         Check("h[c][1] >= h[c][0]", hc.h(1), hc.h(0), ">="),
         Check("sum 2^i f_i >= f_0 (2^(d+1) - 1)", total, floor, ">="),
     ]
-    degrees = [C.vertex_coface_counts[v][d] for v in C.vertices]
+    degrees = [counts[d] for counts in C.vertex_coface_counts.values()]
     if total == floor:
         off = sum(1 for n in degrees if n != d + 1)
         checks.append(Check("equality forces facet degree d+1", off, 0, "=="))
     if all(n == d + 1 for n in degrees):
         checks.append(Check("facet degree d+1 forces equality", total, floor, "=="))
         checks.append(Check("2^d divides (d+1) f_0", ((d + 1) * f0) % (1 << d), 0, "=="))
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_face_lower_bounds(x) -> VerificationReport:
+@_verifier("face-count-lower-bounds", "face-bounds", *_CLOSED)
+def verify_face_lower_bounds(C) -> list[Check]:
     """Per-dimension face count bounds f_i >= C(d+1, i) 2^(d+1-i) on closed
     pseudomanifolds, through the per-vertex link bounds."""
-    name = "face-count-lower-bounds"
-    C, _, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    pm = is_pseudomanifold(C)
-    pre.append(Precondition("closed pseudomanifold", pm))
-    pre.append(Precondition("dimension >= 2", C.dim >= 2, f"dim {C.dim}"))
-    if not pm or C.dim < 2:
-        return make_report(name, pre)
     d = C.dim
     f = f_vector(C)
     checks = [
@@ -228,7 +341,7 @@ def verify_face_lower_bounds(x) -> VerificationReport:
     ]
     counts = C.vertex_coface_counts
     for i in range(1, d + 1):
-        worst = min(C.vertices, key=lambda v: counts[v][i])
+        worst = min(counts, key=lambda v: counts[v][i])
         checks.append(
             Check(
                 f"min_v f[{i - 1}](lk v)",
@@ -238,21 +351,17 @@ def verify_face_lower_bounds(x) -> VerificationReport:
                 context=f"vertex {worst}",
             )
         )
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_h_vector_identities(x) -> VerificationReport:
+@_verifier("h-vector-identities", "h-identities", *_NONEMPTY_PURE)
+def verify_h_vector_identities(C) -> list[Check]:
     """Unconditional identities tying f, the two short cubical h routes, the
     long cubical h-vector and the per-vertex double counting together."""
-    name = "h-vector-identities"
-    C, _, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
     d = C.dim
     f = f_vector(C)
-    hsc = h_short_cubical_from_f(f)
+    hsc, hc = C.h_short, C.h_long
     hsc_links = h_short_cubical_from_links(C)
-    hc = h_long_cubical(hsc)
     chi = reduced_euler(f)
     checks = [
         Check("h[sc][0] == f_0", hsc.h(0), f.f(0)),
@@ -281,431 +390,214 @@ def verify_h_vector_identities(x) -> VerificationReport:
             Check(
                 f"double-count i={i}",
                 (1 << i) * f.f(i),
-                sum(counts[v][i] for v in C.vertices),
+                sum(n[i] for n in counts.values()),
             )
         )
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_stacked_link_plateau(x) -> VerificationReport:
+@_verifier(
+    "stacked-link-plateau", "glbc",
+    *_NONEMPTY_PURE, (_even_dim,), (_eulerian,), (_flat_vertex_links,),
+)
+def verify_stacked_link_plateau(C) -> list[Check]:
     """If every vertex link of an Eulerian complex of even dimension has a
     constant inner h-vector, the long cubical h-vector is constant on
     indices 1..d."""
-    name = "stacked-link-plateau"
-    C, _, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    d = C.dim
-    pre.append(Precondition("even dimension >= 2", d >= 2 and d % 2 == 0, f"dim {d}"))
-    if d < 2 or d % 2:
-        return make_report(name, pre)
-    eulerian = is_eulerian(C)
-    pre.append(Precondition("Eulerian", eulerian, f"reduced Euler {reduced_euler(C)}"))
-    if not eulerian:
-        return make_report(name, pre)
-    links = _link_h_vectors(C)
-    offender = None
-    for v in C.vertices:
-        inner = links[v].entries[1:d]
-        if any(value != inner[0] for value in inner):
-            offender = (v, links[v].entries)
-            break
-    pre.append(
-        Precondition(
-            "every vertex link has h_1 = ... = h_{d-1}",
-            offender is None,
-            "" if offender is None else f"vertex {offender[0]} has link h {offender[1]}",
-        )
-    )
-    if offender is not None:
-        return make_report(name, pre)
-    hc = h_long_cubical(C)
-    checks = [
-        Check(f"h[c][{i}] == h[c][{i + 1}]", hc.h(i), hc.h(i + 1)) for i in range(1, d)
+    hc = C.h_long
+    return [
+        Check(f"h[c][{i}] == h[c][{i + 1}]", hc.h(i), hc.h(i + 1)) for i in range(1, C.dim)
     ]
-    return make_report(name, pre, checks)
 
 
-def _eulerian_sphere_gate(x, name: str, need_polytopal: bool):
-    """Preconditions shared by the generalized lower bound checks on spheres."""
-    C, topo, poly, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return C, pre, bail
-    pre.append(Precondition("flagged as a sphere", topo == "sphere", f"topology {topo}"))
-    if need_polytopal:
-        pre.append(Precondition("flagged polytopal", poly))
-    d = C.dim
-    pre.append(Precondition("even dimension >= 2", d >= 2 and d % 2 == 0, f"dim {d}"))
-    ok_so_far = all(p.ok for p in pre)
-    if not ok_so_far:
-        return C, pre, make_report(name, pre)
-    eulerian = is_eulerian(C)
-    pre.append(Precondition("Eulerian", eulerian, f"reduced Euler {reduced_euler(C)}"))
-    if not eulerian:
-        return C, pre, make_report(name, pre)
-    return C, pre, None
-
-
-def verify_four_sphere_glbc(x) -> VerificationReport:
+@_verifier("four-sphere-glbc", "glbc", *_NONEMPTY_PURE, (_sphere, _dim_four), (_eulerian,))
+def verify_four_sphere_glbc(C) -> list[Check]:
     """g_2 of the long cubical h-vector of a 4-dimensional sphere is
     nonnegative, witnessed by the vertex-link rigidity sum."""
-    name = "four-sphere-glbc"
-    C, topo, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    pre.append(Precondition("flagged as a sphere", topo == "sphere", f"topology {topo}"))
-    pre.append(Precondition("dimension 4", C.dim == 4, f"dim {C.dim}"))
-    if topo != "sphere" or C.dim != 4:
-        return make_report(name, pre)
-    eulerian = is_eulerian(C)
-    pre.append(Precondition("Eulerian", eulerian, f"reduced Euler {reduced_euler(C)}"))
-    if not eulerian:
-        return make_report(name, pre)
-    hsc = h_short_cubical_from_f(f_vector(C))
-    hc = h_long_cubical(hsc)
-    links = _link_h_vectors(C)
-    link_sum = sum(h.h(2) - h.h(1) for h in links.values())
+    hsc, hc = C.h_short, C.h_long
+    link_sum = sum(h.h(2) - h.h(1) for h in C.link_h_vectors.values())
     g2c = hc.h(2) - hc.h(1)
-    checks = [
+    return [
         Check("g[c][2] >= 0", g2c, 0, ">="),
         Check("g[c][2] == g[sc][2]", g2c, hsc.h(2) - hsc.h(1)),
         Check("sum_v (h_2 - h_1)(lk v) >= 0", link_sum, 0, ">="),
         Check("g[c][2] == link sum", g2c, link_sum),
     ]
-    return make_report(name, pre, checks)
 
 
-def verify_middle_glbc(x) -> VerificationReport:
+@_verifier("middle-g-nonnegative", "glbc", *_EULERIAN_POLYTOPAL_SPHERE)
+def verify_middle_glbc(C) -> list[Check]:
     """The middle short cubical g-entry of a polytopal sphere of even
     dimension 2k is nonnegative, hence so is g[c][k]."""
-    name = "middle-g-nonnegative"
-    C, pre, bail = _eulerian_sphere_gate(x, name, need_polytopal=True)
-    if bail:
-        return bail
     k = C.dim // 2
-    hsc = h_short_cubical_from_f(f_vector(C))
-    hc = h_long_cubical(hsc)
-    checks = [
+    hsc, hc = C.h_short, C.h_long
+    return [
         Check("h[sc][k] >= h[sc][k-1]", hsc.h(k), hsc.h(k - 1), ">="),
         Check("g[c][k] >= 0", hc.h(k) - hc.h(k - 1), 0, ">="),
         Check("h[c][k+1] == h[c][k]", hc.h(k + 1), hc.h(k)),
     ]
-    return make_report(name, pre, checks)
 
 
-def verify_alternating_g_sum(x) -> VerificationReport:
+@_verifier("alternating-g-sum", "glbc", *_EULERIAN_SPHERE)
+def verify_alternating_g_sum(C) -> list[Check]:
     """On spheres of dimension 2k the long cubical g-entries telescope into
     alternating sums of short cubical g-entries."""
-    name = "alternating-g-sum"
-    C, pre, bail = _eulerian_sphere_gate(x, name, need_polytopal=False)
-    if bail:
-        return bail
     k = C.dim // 2
-    hsc = h_short_cubical_from_f(f_vector(C))
-    hc = h_long_cubical(hsc)
-    gsc = g_vector(hsc)
+    hc = C.h_long
+    gsc = g_vector(C.h_short)
     checks = []
     for i in range(1, k + 1):
         rhs = sum(_neg_pow(j - i) * gsc.g(j) for j in range(i, k + 1))
         checks.append(Check(f"i={i}", hc.h(i) - hc.h(i - 1), rhs))
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_small_g2_glbc(x) -> VerificationReport:
+def _nondecreasing_to_middle(C) -> list[Check]:
+    k = C.dim // 2
+    hc = C.h_long
+    return [
+        Check(f"h[c][{i}] >= h[c][{i - 1}]", hc.h(i), hc.h(i - 1), ">=")
+        for i in range(1, k + 1)
+    ]
+
+
+def _link_g_cascade(C, first: int) -> list[Check]:
+    """Per-vertex decrease and pseudopower growth of link g-entries from
+    index ``first`` up to the middle index k."""
+    links = C.link_g_vectors.values()
+    checks = []
+    for i in range(first, C.dim // 2):
+        drop = sum(1 for g in links if g.g(i + 1) > g.g(i))
+        checks.append(Check(f"g[{i + 1}] <= g[{i}] at every vertex", drop, 0, "=="))
+        cascade = sum(1 for g in links if g.g(i + 1) > pseudopower(max(g.g(i), 0), i))
+        checks.append(Check(f"g[{i + 1}] <= g[{i}]^<{i}> at every vertex", cascade, 0, "=="))
+    return checks
+
+
+@_verifier("small-g2-glbc", "glbc", *_EULERIAN_POLYTOPAL_SPHERE, (_link_g2_at_most_2,))
+def verify_small_g2_glbc(C) -> list[Check]:
     """Polytopal spheres of dimension 2k whose vertex links all satisfy
     g_2 <= 2 have a nondecreasing long cubical h-vector up to the middle;
     the pseudopower cascade that drives the proof is checked per vertex."""
-    name = "small-g2-glbc"
-    C, pre, bail = _eulerian_sphere_gate(x, name, need_polytopal=True)
-    if bail:
-        return bail
-    d = C.dim
-    k = d // 2
-    links = _link_h_vectors(C)
-    link_g = {
-        v: [h.h(i) - h.h(i - 1) for i in range(d + 1)] for v, h in links.items()
-    }
-    worst = max(C.vertices, key=lambda v: link_g[v][2])
-    premise = link_g[worst][2] <= 2
-    pre.append(
-        Precondition(
-            "every vertex link has g_2 <= 2",
-            premise,
-            f"max g_2(lk v) = {link_g[worst][2]} at vertex {worst}",
-        )
-    )
-    if not premise:
-        return make_report(name, pre)
-    hc = h_long_cubical(C)
-    checks = [
-        Check(f"h[c][{i}] >= h[c][{i - 1}]", hc.h(i), hc.h(i - 1), ">=")
-        for i in range(1, k + 1)
-    ]
+    k = C.dim // 2
+    link_g = C.link_g_vectors
+    checks = _nondecreasing_to_middle(C)
     for i in range(2, k + 1):
-        top = max(C.vertices, key=lambda v: link_g[v][i])
+        top = max(link_g, key=lambda v: link_g[v].g(i))
         checks.append(
-            Check(f"max_v g[{i}](lk v) <= 2", link_g[top][i], 2, "<=", context=f"vertex {top}")
+            Check(f"max_v g[{i}](lk v) <= 2", link_g[top].g(i), 2, "<=", context=f"vertex {top}")
         )
-    for i in range(2, k):
-        drop = sum(1 for v in C.vertices if link_g[v][i + 1] > link_g[v][i])
-        checks.append(Check(f"g[{i + 1}] <= g[{i}] at every vertex", drop, 0, "=="))
-        cascade = sum(
-            1 for v in C.vertices if link_g[v][i + 1] > pseudopower(max(link_g[v][i], 0), i)
-        )
-        checks.append(Check(f"g[{i + 1}] <= g[{i}]^<{i}> at every vertex", cascade, 0, "=="))
+    checks += _link_g_cascade(C, 2)
     if k >= 2:
-        low = min(C.vertices, key=lambda v: link_g[v][k])
+        low = min(link_g, key=lambda v: link_g[v].g(k))
         checks.append(
-            Check("min_v g[k](lk v) >= 0", link_g[low][k], 0, ">=", context=f"vertex {low}")
+            Check("min_v g[k](lk v) >= 0", link_g[low].g(k), 0, ">=", context=f"vertex {low}")
         )
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_small_link_glbc(x) -> VerificationReport:
+@_verifier("small-link-glbc", "glbc", *_EULERIAN_SPHERE, (_small_vertex_links,))
+def verify_small_link_glbc(C) -> list[Check]:
     """Spheres of dimension 2k whose vertex links have at most 2k+2 vertices
     satisfy the same monotonicity of the long cubical h-vector."""
-    name = "small-link-glbc"
-    C, pre, bail = _eulerian_sphere_gate(x, name, need_polytopal=False)
-    if bail:
-        return bail
-    d = C.dim
-    k = d // 2
-    counts = C.vertex_coface_counts
-    fat = [v for v in C.vertices if counts[v][1] not in (2 * k + 1, 2 * k + 2)]
-    pre.append(
-        Precondition(
-            "every vertex link has 2k+1 or 2k+2 vertices",
-            not fat,
-            "" if not fat else f"vertex {fat[0]} has {counts[fat[0]][1]} link vertices",
-        )
-    )
-    if fat:
-        return make_report(name, pre)
-    links = _link_h_vectors(C)
-    link_g = {
-        v: [h.h(i) - h.h(i - 1) for i in range(d + 1)] for v, h in links.items()
-    }
-    top = max(C.vertices, key=lambda v: link_g[v][1])
-    hc = h_long_cubical(C)
+    link_g = C.link_g_vectors
+    top = max(link_g, key=lambda v: link_g[v].g(1))
     checks = [
-        Check("max_v g[1](lk v) <= 1", link_g[top][1], 1, "<=", context=f"vertex {top}")
+        Check("max_v g[1](lk v) <= 1", link_g[top].g(1), 1, "<=", context=f"vertex {top}")
     ]
-    checks += [
-        Check(f"h[c][{i}] >= h[c][{i - 1}]", hc.h(i), hc.h(i - 1), ">=")
-        for i in range(1, k + 1)
-    ]
-    for i in range(1, k):
-        drop = sum(1 for v in C.vertices if link_g[v][i + 1] > link_g[v][i])
-        checks.append(Check(f"g[{i + 1}] <= g[{i}] at every vertex", drop, 0, "=="))
-        cascade = sum(
-            1 for v in C.vertices if link_g[v][i + 1] > pseudopower(max(link_g[v][i], 0), i)
-        )
-        checks.append(Check(f"g[{i + 1}] <= g[{i}]^<{i}> at every vertex", cascade, 0, "=="))
-    return make_report(name, pre, checks)
+    return checks + _nondecreasing_to_middle(C) + _link_g_cascade(C, 1)
 
 
-def verify_simplicial_boundary_ds(x) -> VerificationReport:
-    """Dehn-Sommerville with a boundary correction for simplicial manifolds:
-    h_{D-i} - h_i equals C(D, i) (-1)^(D-i-1) chi minus g_i of the boundary,
-    the boundary h-vector taken at ambient rank D-1 (all-zero face counts
-    when the boundary is empty)."""
-    from .complexes import boundary_complex
-
-    name = "simplicial-boundary-ds"
-    C, topo, _ = _parts(x)
-    pre = [Precondition("simplicial complex", C.kind == "simplicial")]
-    if C.kind != "simplicial":
-        return make_report(name, pre)
-    pre.append(Precondition("nonempty", C.dim >= 0, f"dim {C.dim}"))
-    if C.dim < 0:
-        return make_report(name, pre)
-    pure = is_pure(C)
-    pre.append(Precondition("pure", pure))
-    if not pure:
-        return make_report(name, pre)
-    degrees = set(C.ridge_degrees().values())
-    pre.append(
-        Precondition(
-            "every ridge lies in one or two facets",
-            degrees <= {1, 2},
-            f"degrees {sorted(degrees)}",
-        )
-    )
-    pre.append(
-        Precondition(
-            "flagged as a manifold with boundary",
-            topo in ("ball", "manifold-with-boundary"),
-            f"topology {topo}",
-        )
-    )
-    boundary = boundary_complex(C)
-    pre.append(
-        Precondition(
-            "nonempty boundary (a point may have none)",
-            boundary.dim >= 0 or C.dim == 0,
-            f"boundary dim {boundary.dim}",
-        )
-    )
-    if not degrees <= {1, 2}:
-        return make_report(name, pre)
-    D = C.dim + 1
-    h = h_simplicial(f_vector(C))
-    hb = h_simplicial(f_vector(boundary), rank=D - 1)
-    chi = reduced_euler(C)
-    checks = []
-    for i in range(D + 1):
-        rhs = comb(D, i) * _neg_pow(D - i - 1) * chi - (hb.h(i) - hb.h(i - 1))
-        checks.append(Check(f"i={i}", h.h(D - i) - h.h(i), rhs))
-    return make_report(name, pre, checks)
-
-
-def _short_from_counts(counts: dict[int, int], d: int) -> HVector:
-    f = FVector("cubical", d, tuple(counts.get(i, 0) for i in range(d + 1)))
-    return h_short_cubical_from_f(f)
-
-
-def verify_cubical_boundary_ds(x) -> VerificationReport:
+@_verifier(
+    "cubical-boundary-ds", "boundary-ds",
+    *_NONEMPTY_PURE, (_dim_at_least(1),),
+    (_ridges_in_one_or_two, Advisory(_with_boundary), Advisory(_nonempty_boundary)),
+)
+def verify_cubical_boundary_ds(C) -> list[Check]:
     """Dehn-Sommerville with a boundary correction for cubical manifolds,
     plus the interior-face reformulation: the interior short h-vector equals
     the reversed short h-vector and h^{sc} minus the boundary g^{sc}."""
-    from .complexes import boundary_complex
-
-    name = "cubical-boundary-ds"
-    C, topo, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    pre.append(Precondition("dimension >= 1", C.dim >= 1, f"dim {C.dim}"))
-    if C.dim < 1:
-        return make_report(name, pre)
-    degrees = set(C.ridge_degrees().values())
-    pre.append(
-        Precondition(
-            "every ridge lies in one or two facets",
-            degrees <= {1, 2},
-            f"degrees {sorted(degrees)}",
-        )
-    )
-    pre.append(
-        Precondition(
-            "flagged as a manifold with boundary",
-            topo in ("ball", "manifold-with-boundary"),
-            f"topology {topo}",
-        )
-    )
-    boundary = boundary_complex(C)
-    pre.append(
-        Precondition("nonempty boundary", boundary.dim >= 0, f"boundary dim {boundary.dim}")
-    )
-    if not degrees <= {1, 2}:
-        return make_report(name, pre)
     d = C.dim
+    boundary = C.boundary
     chi = reduced_euler(C)
-    hsc = h_short_cubical_from_f(f_vector(C))
-    hc = h_long_cubical(hsc)
+    hsc, hc = C.h_short, C.h_long
+    # A nonempty boundary of a pure d-complex is closed up from (d-1)-ridges.
     if boundary.dim >= 0:
-        hsc_b = h_short_cubical_from_f(
-            FVector("cubical", d - 1, boundary.f_counts() + (0,) * (d - boundary.dim - 1))
-        )
+        hsc_b, hc_b = boundary.h_short, boundary.h_long
     else:
         hsc_b = HVector("short_cubical", d - 1, (0,) * d)
-    hc_b = h_long_cubical(hsc_b)
+        hc_b = h_long_cubical(hsc_b)
     checks = []
     for j in range(1, d + 1):
         rhs = _neg_pow(j) * (-2) ** d * chi - (hc_b.h(j) - hc_b.h(j - 1))
         checks.append(Check(f"j={j}", hc.h(d + 1 - j) - hc.h(j), rhs))
-    boundary_keys = boundary.faces.keys() if boundary.dim >= 0 else set()
-    interior: dict[int, int] = {}
+    interior = [0] * (d + 1)
     for key, face in C.faces.items():
-        if key not in boundary_keys:
-            interior[face.dim] = interior.get(face.dim, 0) + 1
-    hsc_interior = _short_from_counts(interior, d)
+        if key not in boundary.faces:
+            interior[face.dim] += 1
+    hsc_interior = h_short_cubical_from_f(FVector("cubical", d, tuple(interior)))
     for j in range(d + 1):
         checks.append(Check(f"interior-reversal j={j}", hsc_interior.h(j), hsc.h(d - j)))
     for j in range(d + 1):
         rhs = hsc.h(j) - (hsc_b.h(j) - hsc_b.h(j - 1))
         checks.append(Check(f"interior-relation j={j}", hsc_interior.h(j), rhs))
-    return make_report(name, pre, checks)
+    return checks
 
 
-def verify_cubical_ball_ds(x) -> VerificationReport:
+@_verifier(
+    "cubical-ball-ds", "boundary-ds",
+    *_NONEMPTY_PURE, (_ball, _dim_at_least(1)), (_reduced_euler_zero, _nonempty_boundary),
+)
+def verify_cubical_ball_ds(C) -> list[Check]:
     """For cubical balls the Dehn-Sommerville defect of the long h-vector is
     exactly minus the boundary long g-vector."""
-    from .complexes import boundary_complex
-
-    name = "cubical-ball-ds"
-    C, topo, _, pre, bail = _cubical_gate(x, name)
-    if bail:
-        return bail
-    pre.append(Precondition("flagged as a ball", topo == "ball", f"topology {topo}"))
-    pre.append(Precondition("dimension >= 1", C.dim >= 1, f"dim {C.dim}"))
-    if topo != "ball" or C.dim < 1:
-        return make_report(name, pre)
-    chi = reduced_euler(C)
-    pre.append(Precondition("reduced Euler 0", chi == 0, f"reduced Euler {chi}"))
-    boundary = boundary_complex(C)
-    pre.append(
-        Precondition("nonempty boundary", boundary.dim >= 0, f"boundary dim {boundary.dim}")
-    )
-    if chi != 0 or boundary.dim < 0:
-        return make_report(name, pre)
     d = C.dim
-    hc = h_long_cubical(C)
-    hc_b = h_long_cubical(boundary)
-    checks = [
+    hc, hc_b = C.h_long, C.boundary.h_long
+    return [
         Check(f"i={i}", hc.h(d + 1 - i) - hc.h(i), -(hc_b.h(i) - hc_b.h(i - 1)))
         for i in range(1, d + 1)
     ]
-    return make_report(name, pre, checks)
 
 
-CUBICAL_VERIFIERS = (
-    verify_adin_ds,
-    verify_vertex_pair_bound,
-    verify_vertex_lower_bound,
-    verify_face_lower_bounds,
-    verify_h_vector_identities,
-    verify_stacked_link_plateau,
-    verify_four_sphere_glbc,
-    verify_middle_glbc,
-    verify_alternating_g_sum,
-    verify_small_g2_glbc,
-    verify_small_link_glbc,
-    verify_cubical_boundary_ds,
-    verify_cubical_ball_ds,
+@_verifier(
+    "simplicial-boundary-ds", "ns-ds",
+    *_NONEMPTY_PURE,
+    (_ridges_in_one_or_two, Advisory(_with_boundary), Advisory(_nonempty_boundary_unless_point)),
+    kind="simplicial",
 )
+def verify_simplicial_boundary_ds(C) -> list[Check]:
+    """Dehn-Sommerville with a boundary correction for simplicial manifolds:
+    h_{D-i} - h_i equals C(D, i) (-1)^(D-i-1) chi minus g_i of the boundary,
+    the boundary h-vector taken at ambient rank D-1 (all-zero face counts
+    when the boundary is empty)."""
+    D = C.dim + 1
+    h = h_simplicial(f_vector(C))
+    hb = h_simplicial(f_vector(C.boundary), rank=D - 1)
+    chi = reduced_euler(C)
+    checks = []
+    for i in range(D + 1):
+        rhs = comb(D, i) * _neg_pow(D - i - 1) * chi - (hb.h(i) - hb.h(i - 1))
+        checks.append(Check(f"i={i}", h.h(D - i) - h.h(i), rhs))
+    return checks
 
-SIMPLICIAL_VERIFIERS = (verify_simplicial_boundary_ds,)
+
+CUBICAL_VERIFIERS = tuple(v for v in REGISTRY if v.kind == "cubical")
+SIMPLICIAL_VERIFIERS = tuple(v for v in REGISTRY if v.kind == "simplicial")
 
 SUITES: dict[str, tuple[str, tuple]] = {
-    "adin-ds": ("cubical", (verify_adin_ds,)),
-    "lbt": ("cubical", (verify_vertex_pair_bound, verify_vertex_lower_bound)),
-    "face-bounds": ("cubical", (verify_face_lower_bounds,)),
-    "h-identities": ("cubical", (verify_h_vector_identities,)),
-    "glbc": (
-        "cubical",
-        (
-            verify_stacked_link_plateau,
-            verify_four_sphere_glbc,
-            verify_middle_glbc,
-            verify_alternating_g_sum,
-            verify_small_g2_glbc,
-            verify_small_link_glbc,
-        ),
-    ),
-    "boundary-ds": ("cubical", (verify_cubical_boundary_ds, verify_cubical_ball_ds)),
-    "ns-ds": ("simplicial", (verify_simplicial_boundary_ds,)),
+    suite: (kind, tuple(v for v in REGISTRY if v.suite == suite))
+    for suite, kind in dict.fromkeys((v.suite, v.kind) for v in REGISTRY)
 }
 
 
 def run_suite(suite: str, x) -> list[VerificationReport]:
     """Run a named verifier suite; "all" runs everything matching the kind."""
-    C, _, _ = _parts(x)
+    kind = _subject(x).C.kind
     if suite == "all":
-        fns = CUBICAL_VERIFIERS if C.kind == "cubical" else SIMPLICIAL_VERIFIERS
-        return [fn(x) for fn in fns]
+        return [v(x) for v in REGISTRY if v.kind == kind]
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    kind, fns = SUITES[suite]
-    if kind != C.kind:
-        raise ValueError(f"suite {suite!r} applies to {kind} complexes, got {C.kind}")
+    suite_kind, fns = SUITES[suite]
+    if suite_kind != kind:
+        raise ValueError(f"suite {suite!r} applies to {suite_kind} complexes, got {kind}")
     return [fn(x) for fn in fns]

@@ -75,6 +75,11 @@ def test_parse_error_on_invalid_json():
     assert "line 1" in str(err.value)
 
 
+def test_parse_error_on_deep_nesting():
+    with pytest.raises(ParseError, match="too deeply"):
+        parses("[" * 200_000)
+
+
 def test_parse_error_on_schema_problems():
     good = json.loads(serializes(cube_boundary(2)))
 
@@ -271,6 +276,13 @@ def test_cli_compute_file_errors(tmp_path, capsys):
     assert entry(["compute", "f", bad]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
+    deep = _write(tmp_path, "deep.json", "[" * 200_000)
+    assert entry(["verify", "all", deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_verify_pass_fail_inapplicable(tmp_path, capsys):

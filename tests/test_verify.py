@@ -1,5 +1,9 @@
 """Verifier behavior: pass/fail/inapplicable statuses and report contents."""
 
+import argparse
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from cubicomb import (
@@ -42,7 +46,9 @@ from cubicomb import (
     verify_vertex_pair_bound,
 )
 from cubicomb import CubicalCell
-from cubicomb.verify import CUBICAL_VERIFIERS, SIMPLICIAL_VERIFIERS
+from cubicomb import complexes
+from cubicomb.cli import _build_parser
+from cubicomb.verify import CUBICAL_VERIFIERS, REGISTRY, SIMPLICIAL_VERIFIERS, SUITES
 from families import cubical_family, simplicial_family
 
 BOWTIE = GeneratedComplex(
@@ -313,3 +319,87 @@ def test_run_suite():
         run_suite("ns-ds", torus)
     with pytest.raises(ValueError):
         run_suite("adin-ds", simplex(2))
+
+
+def test_registry_names_are_unique():
+    names = [v.name for v in REGISTRY]
+    assert len(names) == len(set(names)) == 14
+
+
+def test_every_verifier_is_in_exactly_one_suite():
+    listed = Counter(fn.name for _, fns in SUITES.values() for fn in fns)
+    assert listed == Counter(v.name for v in REGISTRY)
+    assert set(listed.values()) == {1}
+
+
+def test_suite_order_is_the_registry_order():
+    for kind, verifiers, x in (
+        ("cubical", CUBICAL_VERIFIERS, cubical_torus(4, 4)),
+        ("simplicial", SIMPLICIAL_VERIFIERS, simplex(2)),
+    ):
+        assert verifiers == tuple(fn for k, fns in SUITES.values() if k == kind for fn in fns)
+        assert [r.name for r in run_suite("all", x)] == [v.name for v in verifiers]
+
+
+def test_cli_suite_choices_follow_the_registry():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == sorted(SUITES) + ["all"]
+
+
+class _CountedItems(dict):
+    """A link Euler table that counts the sweeps over it."""
+
+    sweeps = 0
+
+    def items(self):
+        self.sweeps += 1
+        return super().items()
+
+
+def _run_all(x):
+    return run_suite("all", x)
+
+
+def _run_one_by_one(x):
+    return [fn(x) for fn in CUBICAL_VERIFIERS]
+
+
+@pytest.mark.parametrize("runner", [_run_all, _run_one_by_one])
+def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
+    builds, sweeps = [], []
+    from_cells = complexes.CubicalComplex.from_cells.__func__
+    facet_tables = complexes._facet_tables
+
+    def counted_from_cells(cls, cells, validate=True):
+        builds.append(validate)
+        return from_cells(cls, cells, validate)
+
+    def counted_facet_tables(k):
+        sweeps.append(k)
+        return facet_tables(k)
+
+    ball = pile_of_cubes(3, 2, 2)
+    sphere = pile_boundary(3, 2, 2)
+    monkeypatch.setattr(complexes.CubicalComplex, "from_cells", classmethod(counted_from_cells))
+    monkeypatch.setattr(complexes, "_facet_tables", counted_facet_tables)
+    runner(ball)
+    assert builds == [False]  # the boundary, built once
+    assert len(sweeps) == len(ball.complex.cells)  # one ridge-degree sweep
+    table = _CountedItems(sphere.complex.link_euler)
+    vars(sphere.complex)["link_euler"] = table
+    runner(sphere)
+    assert table.sweeps == 1  # the Euler condition, tested once
+
+
+def test_readme_suite_table_matches_the_registry():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = [line.split(" | ") for line in readme.splitlines() if line.startswith("| `")]
+    table = {
+        suite.strip("| `"): (kind, [name.strip("` |") for name in names.split(", ")])
+        for suite, kind, names in rows
+    }
+    assert table == {
+        suite: (kind, [fn.name for fn in fns]) for suite, (kind, fns) in SUITES.items()
+    }
