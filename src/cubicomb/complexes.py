@@ -1,11 +1,11 @@
-"""Cubical and simplicial complexes stored as families of vertex sets.
+"""Cubical and simplicial complexes stored as one table of faces by vertex set.
 
-A face is identified with its vertex set.  Cubical faces additionally carry
-one witness corner ordering: position ``b`` of a k-dimensional face holds the
-vertex sitting at cube coordinate ``b``, bits read least significant first.
-Every face of a built complex arises as a coordinate restriction of an input
-cell, and validation cross-checks that cells agree on shared faces and that
-the family is closed under pairwise intersection.
+A face is identified with its vertex set and carries one corner ordering: a
+cubical witness, whose position ``b`` holds the vertex at cube coordinate
+``b`` (bits read least significant first), or the sorted simplex vertices.
+Both kinds share the closure, the derived views and the boundary; a kind
+supplies only the subface table of a cell.  Cubical validation cross-checks
+that cells sharing a vertex agree on shared faces and meet in a common face.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
@@ -109,25 +109,29 @@ def _subface_tables(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         for free in combinations(range(k), j):
             fixed = [q for q in range(k) if q not in free]
             for bits in range(1 << len(fixed)):
-                base = 0
-                for t, q in enumerate(fixed):
-                    if bits >> t & 1:
-                        base |= 1 << q
-                indices = []
-                for m in range(1 << j):
-                    idx = base
-                    for t, q in enumerate(free):
-                        if m >> t & 1:
-                            idx |= 1 << q
-                    indices.append(idx)
-                tables.append((j, tuple(indices)))
+                base = sum(1 << q for t, q in enumerate(fixed) if bits >> t & 1)
+                indices = tuple(
+                    base + sum(1 << q for t, q in enumerate(free) if m >> t & 1)
+                    for m in range(1 << j)
+                )
+                tables.append((j, indices))
     return tuple(tables)
 
 
 @lru_cache(maxsize=None)
-def _facet_tables(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The 2k codimension-one entries of :func:`_subface_tables`."""
-    return tuple(t for t in _subface_tables(k) if t[0] == k - 1)
+def _simplex_tables(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Corner index tables for every nonempty face of a k-simplex, largest
+    first, in the format of :func:`_subface_tables`: a face is a subset of
+    the k+1 sorted corners, so there are 2**(k+1) - 1 entries in total."""
+    return tuple(
+        (r - 1, idxs) for r in range(k + 1, 0, -1) for idxs in combinations(range(k + 1), r)
+    )
+
+
+@lru_cache(maxsize=None)
+def _facet_tables(table, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The codimension-one entries of a k-cell's subface ``table``."""
+    return tuple(t for t in table(k) if t[0] == k - 1)
 
 
 def _fmt_key(key: Iterable[int]) -> str:
@@ -160,9 +164,10 @@ class CubicalCell:
         return frozenset(self.corners)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
-    """A face of a built complex: vertex set plus one witness corner ordering."""
+    """A face of a built complex: vertex set plus one corner ordering, a
+    witness in bit order for a cube and the sorted vertices for a simplex."""
 
     key: FaceKey
     dim: int
@@ -175,18 +180,116 @@ def _face_order(face: Face) -> tuple[int, tuple[int, ...]]:
 
 def _facet_key_set(corners: tuple[int, ...], dim: int) -> frozenset:
     return frozenset(
-        frozenset(corners[i] for i in idxs) for _, idxs in _facet_tables(dim)
+        frozenset(corners[i] for i in idxs) for _, idxs in _facet_tables(_subface_tables, dim)
     )
 
 
-class _Derived:
-    """Views both kinds derive the same way; the cached ones are computed on
-    first use.
+def _same_cube(prev: Face, sub: tuple[int, ...], dim: int) -> None:
+    """Refuse a second corner ordering that makes a different cube of a face."""
+    if dim < 2 or prev.corners == sub:
+        return
+    if _facet_key_set(prev.corners, dim) != _facet_key_set(sub, dim):
+        raise InconsistentSharedFace(
+            f"cells induce different cube structures on the shared vertex set {_fmt_key(prev.key)}"
+        )
 
-    A subclass supplies ``faces``, ``faces_by_dim``, ``pure``,
-    ``_ridge_degrees`` (the sweep over a pure complex), ``_face_dim`` of a
-    face key and ``_close_ridges``.
+
+def _span(corners: tuple[int, ...], key: frozenset) -> tuple[list[int], int]:
+    """Positions of a cube's corners lying in ``key`` and the bits they vary
+    in; the corners form a subface exactly when they fill that subcube."""
+    positions = [b for b, c in enumerate(corners) if c in key]
+    varying = 0
+    for b in positions:
+        varying |= b ^ positions[0]
+    return positions, varying
+
+
+def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> list[bool]:
+    """Check every two cells that share a vertex, in input order, and flag
+    the cells that lie inside another.
+
+    The pairs are found through a vertex -> cells index and visited by first
+    cell, then ascending second cell, so the first error is the one an
+    all-pairs scan would meet.
     """
+    at: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        for v in key:
+            at.setdefault(v, []).append(i)
+    maximal = [True] * len(cells)
+    for a, ka in enumerate(keys):
+        for b in sorted({b for v in ka for b in at[v] if b > a}):
+            kb = keys[b]
+            inter = ka & kb
+            if inter not in faces:
+                raise IntersectionNotAFace(
+                    f"cells {_fmt_key(ka)} and {_fmt_key(kb)} intersect in "
+                    f"{_fmt_key(inter)}, which is not a face"
+                )
+            for corners in (cells[a].corners, cells[b].corners):
+                positions, varying = _span(corners, inter)
+                if len(positions) != 1 << varying.bit_count():
+                    raise InconsistentSharedFace(
+                        f"intersection {_fmt_key(inter)} of cells {_fmt_key(ka)} and "
+                        f"{_fmt_key(kb)} is not a common subface"
+                    )
+            if inter == ka:
+                maximal[a] = False
+            elif inter == kb:
+                maximal[b] = False
+    return maximal
+
+
+class _FaceTable:
+    """The face table both kinds share: every face by vertex set, the
+    inclusion-maximal cells, and the views derived from them, the cached ones
+    computed on first use.
+
+    A kind supplies ``_table``, the ``(dim, corner indices)`` subface table
+    of a cell, the cell itself first.
+    """
+
+    def __init__(self, faces: dict[FaceKey, Face], cells: Iterable[Face]):
+        self.faces: dict[FaceKey, Face] = faces
+        self.cells: tuple[Face, ...] = tuple(sorted(cells, key=_face_order))
+        self.dim: int = max((c.dim for c in self.cells), default=-1)
+
+    @classmethod
+    def empty(cls):
+        """The complex whose only face is the empty face (dimension -1)."""
+        return cls({}, ())
+
+    @classmethod
+    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]], source=None, conflict=None):
+        """Subface closure of ``(dim, corners)`` cells, taken in order.
+
+        Returns the face table and the face of every cell whose vertex set was
+        not yet a face when its turn came.  A cell whose vertex set was lies
+        in an earlier cell and adds nothing; ``conflict(prev, corners, dim)``
+        sees it, and every other subface met a second time.  With a parent
+        table as ``source`` the faces are the parent's own objects.
+        """
+        table = cls._table
+        faces: dict[FaceKey, Face] = {}
+        new = []
+        for dim, corners in cells:
+            own = frozenset(corners)
+            prev = faces.get(own)
+            if prev is not None:
+                if conflict is not None:
+                    conflict(prev, corners, dim)
+                continue
+            for j, idxs in table(dim):
+                sub = tuple([corners[i] for i in idxs])
+                key = frozenset(sub)
+                prev = faces.get(key)
+                if prev is None:
+                    face = Face(key, j, sub) if source is None else source[key]
+                    faces[face.key] = face
+                elif conflict is not None:
+                    conflict(prev, sub, j)
+            new.append(faces[own])
+        return faces, new
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
@@ -194,15 +297,90 @@ class _Derived:
     def __contains__(self, key: Iterable[int]) -> bool:
         return frozenset(key) in self.faces
 
+    def __eq__(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.faces.keys() == other.faces.keys()
+            and all(self.faces[k].dim == other.faces[k].dim for k in self.faces)
+            and {c.key for c in self.cells} == {c.key for c in other.cells}
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def face(self, key: Iterable[int]) -> Face:
+        try:
+            return self.faces[frozenset(key)]
+        except KeyError:
+            raise UnknownFace(_fmt_key(key)) from None
+
     def f_counts(self) -> tuple[int, ...]:
         """Number of i-dimensional faces for i = 0..dim (empty face excluded)."""
-        return tuple(len(row) for row in self.faces_by_dim)
+        return self._f_counts
+
+    @cached_property
+    def _f_counts(self) -> tuple[int, ...]:
+        counts = [0] * (self.dim + 1)
+        for face in self.faces.values():
+            counts[face.dim] += 1
+        return tuple(counts)
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(f.corners[0] for f in self.faces.values() if f.dim == 0))
+
+    @cached_property
+    def _star(self) -> dict[int, list[Face]]:
+        """The faces through each vertex."""
+        star: dict[int, list[Face]] = {v: [] for v in self.vertices}
+        for face in self.faces.values():
+            for v in face.corners:
+                star[v].append(face)
+        return star
+
+    @cached_property
+    def link_euler(self) -> dict[FaceKey, int]:
+        """Reduced Euler characteristic of the link of every nonempty face.
+
+        Computed in one sweep: a face G of dimension g contributes a
+        (g - f - 1)-dimensional link face to each of its f-dimensional
+        subfaces, the empty link face included when G equals the subface.
+        """
+        acc = dict.fromkeys(self.faces, 0)
+        table = self._table
+        for face in self.faces.values():
+            gdim = face.dim
+            corners = face.corners
+            for j, idxs in table(gdim):
+                key = frozenset([corners[i] for i in idxs])
+                acc[key] += -1 if (gdim - j - 1) % 2 else 1
+        return acc
+
+    @cached_property
+    def pure(self) -> bool:
+        """All inclusion-maximal faces share the top dimension."""
+        return all(cell.dim == self.dim for cell in self.cells)
 
     def ridge_degrees(self) -> dict[FaceKey, int]:
         """How many facets contain each ridge.  Needs a pure complex."""
         if not self.pure:
             raise NotPure("ridge degrees are only defined for pure complexes")
         return self._ridge_degrees
+
+    @cached_property
+    def _ridge_degrees(self) -> dict[FaceKey, int]:
+        deg: dict[FaceKey, int] = {}
+        if self.dim < 1:
+            return deg
+        faces = self.faces
+        for cell in self.cells:
+            corners = cell.corners
+            for _, idxs in _facet_tables(self._table, cell.dim):
+                # The face's own key object, so the kept table holds no copies.
+                key = faces[frozenset([corners[i] for i in idxs])].key
+                deg[key] = deg.get(key, 0) + 1
+        return deg
 
     @cached_property
     def pseudomanifold(self) -> bool:
@@ -220,10 +398,9 @@ class _Derived:
         """Every nonempty face link has the Euler characteristic of a sphere."""
         if not self.pure:
             raise NotPure("the Euler condition is checked on pure complexes")
-        d = self.dim
+        d, faces = self.dim, self.faces
         return all(
-            value == _neg_pow(d - self._face_dim(key) - 1)
-            for key, value in self.link_euler.items()
+            value == _neg_pow(d - faces[key].dim - 1) for key, value in self.link_euler.items()
         )
 
     @cached_property
@@ -238,24 +415,16 @@ class _Derived:
             if not self.pure:
                 raise NotPure("boundary needs a pure complex")
             return self.empty()
-        free = [key for key, n in self.ridge_degrees().items() if n == 1]
-        return self._close_ridges(free) if free else self.empty()
+        free = [self.faces[key] for key, n in self.ridge_degrees().items() if n == 1]
+        # Closed up from this complex's own Face objects rather than copies.
+        return type(self)(*self._close([(f.dim, f.corners) for f in free], self.faces))
 
 
-class CubicalComplex(_Derived):
+class CubicalComplex(_FaceTable):
     """Subface closure of a set of cubical cells, keyed by vertex set."""
 
     kind = "cubical"
-
-    def __init__(self, faces: dict, cells: tuple, dim: int):
-        self.faces: dict[FaceKey, Face] = faces
-        self.cells: tuple[Face, ...] = cells
-        self.dim: int = dim
-
-    @classmethod
-    def empty(cls) -> "CubicalComplex":
-        """The complex whose only face is the empty face (dimension -1)."""
-        return cls({}, (), -1)
+    _table = staticmethod(_subface_tables)
 
     @classmethod
     def from_cells(
@@ -265,127 +434,37 @@ class CubicalComplex(_Derived):
 
         With ``validate`` set, the closure axioms are checked: any two cells
         must induce the same cube structure on a shared vertex set, and every
-        pairwise cell intersection must be a common subface.  Together with
+        intersection of two cells must be a common subface.  Together with
         the transitivity of coordinate restriction this guarantees closure of
         the whole face family under intersection and that every lower
         interval is a cube face lattice.
 
         Trusted callers (subcomplexes of already validated complexes) may
-        skip the quadratic pairwise check; ``cells`` must then be
-        inclusion-maximal and mutually consistent.
+        skip the pairwise check; ``cells`` must then be inclusion-maximal and
+        mutually consistent.
         """
-        cell_list: list[CubicalCell] = []
-        first_index: dict[FaceKey, int] = {}
+        distinct: dict[FaceKey, CubicalCell] = {}
         duplicates: list[CubicalCell] = []
         for cell in cells:
             if not isinstance(cell, CubicalCell):
                 raise TypeError("from_cells expects CubicalCell values")
-            if cell.key in first_index:
+            if distinct.setdefault(cell.key, cell) is not cell:
                 duplicates.append(cell)
-            else:
-                first_index[cell.key] = len(cell_list)
-                cell_list.append(cell)
+        keys, cell_list = list(distinct), list(distinct.values())
         if not cell_list:
             raise ValueError(
                 "at least one cell is required; use CubicalComplex.empty() for the empty complex"
             )
-
-        faces: dict[FaceKey, Face] = {}
-        keysets: list[set] = []
-
-        def derive(cell: CubicalCell, record: bool) -> None:
-            corners = cell.corners
-            keys = set()
-            for j, idxs in _subface_tables(cell.dim):
-                sub = tuple([corners[i] for i in idxs])
-                key = frozenset(sub)
-                keys.add(key)
-                prev = faces.get(key)
-                if prev is None:
-                    faces[key] = Face(key, j, sub)
-                elif (
-                    validate
-                    and j >= 2
-                    and prev.corners != sub
-                    and _facet_key_set(prev.corners, j) != _facet_key_set(sub, j)
-                ):
-                    raise InconsistentSharedFace(
-                        f"cells induce different cube structures on the shared vertex set {_fmt_key(key)}"
-                    )
-            if record:
-                keysets.append(keys)
-
-        for cell in cell_list:
-            derive(cell, record=True)
+        faces, _ = cls._close(
+            [(c.dim, c.corners) for c in cell_list], conflict=_same_cube if validate else None
+        )
+        maximal = [True] * len(cell_list)
         if validate:
             # A repeated vertex set is fine only if it describes the same cube.
             for cell in duplicates:
-                derive(cell, record=False)
-
-        maximal = [True] * len(cell_list)
-        if validate:
-            keys = [c.key for c in cell_list]
-            for a in range(len(cell_list)):
-                ka = keys[a]
-                sa = keysets[a]
-                for b in range(a + 1, len(cell_list)):
-                    inter = ka & keys[b]
-                    if not inter:
-                        continue
-                    if inter not in faces:
-                        raise IntersectionNotAFace(
-                            f"cells {_fmt_key(ka)} and {_fmt_key(keys[b])} intersect in "
-                            f"{_fmt_key(inter)}, which is not a face"
-                        )
-                    if inter not in sa or inter not in keysets[b]:
-                        raise InconsistentSharedFace(
-                            f"intersection {_fmt_key(inter)} of cells {_fmt_key(ka)} and "
-                            f"{_fmt_key(keys[b])} is not a common subface"
-                        )
-                    if inter == ka:
-                        maximal[a] = False
-                    elif inter == keys[b]:
-                        maximal[b] = False
-
-        cell_faces = sorted(
-            (faces[c.key] for c, keep in zip(cell_list, maximal) if keep),
-            key=_face_order,
-        )
-        dim = max(f.dim for f in cell_faces)
-        return cls(faces, tuple(cell_faces), dim)
-
-    def __eq__(self, other: object):
-        if not isinstance(other, CubicalComplex):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.faces.keys() == other.faces.keys()
-            and all(self.faces[k].dim == other.faces[k].dim for k in self.faces)
-            and {c.key for c in self.cells} == {c.key for c in other.cells}
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def face(self, key: Iterable[int]) -> Face:
-        try:
-            return self.faces[frozenset(key)]
-        except KeyError:
-            raise UnknownFace(_fmt_key(key)) from None
-
-    @cached_property
-    def faces_by_dim(self) -> tuple[tuple[Face, ...], ...]:
-        rows: list[list[Face]] = [[] for _ in range(self.dim + 1)]
-        for face in self.faces.values():
-            rows[face.dim].append(face)
-        for row in rows:
-            row.sort(key=_face_order)
-        return tuple(tuple(row) for row in rows)
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        if self.dim < 0:
-            return ()
-        return tuple(sorted(next(iter(f.key)) for f in self.faces_by_dim[0]))
+                _same_cube(faces[cell.key], cell.corners, cell.dim)
+            maximal = _check_pairs(cell_list, keys, faces)
+        return cls(faces, [faces[k] for k, keep in zip(keys, maximal) if keep])
 
     @cached_property
     def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
@@ -399,59 +478,6 @@ class CubicalComplex(_Derived):
             for v in face.key:
                 counts[v][face.dim] += 1
         return {v: tuple(c) for v, c in counts.items()}
-
-    @cached_property
-    def _vertex_face_keys(self) -> dict[int, frozenset]:
-        acc: dict[int, list] = {v: [] for v in self.vertices}
-        for key in self.faces:
-            for v in key:
-                acc[v].append(key)
-        return {v: frozenset(keys) for v, keys in acc.items()}
-
-    @cached_property
-    def link_euler(self) -> dict[FaceKey, int]:
-        """Reduced Euler characteristic of the link of every nonempty face.
-
-        Computed in one sweep: a face G of dimension g contributes a
-        (g - f - 1)-dimensional link face to each of its f-dimensional
-        subfaces, the empty link simplex included when G equals the subface.
-        """
-        acc = dict.fromkeys(self.faces, 0)
-        for face in self.faces.values():
-            gdim = face.dim
-            corners = face.corners
-            for j, idxs in _subface_tables(gdim):
-                key = frozenset([corners[i] for i in idxs])
-                acc[key] += -1 if (gdim - j - 1) % 2 else 1
-        return acc
-
-    @cached_property
-    def pure(self) -> bool:
-        """All inclusion-maximal faces share the top dimension."""
-        return all(cell.dim == self.dim for cell in self.cells)
-
-    def _face_dim(self, key: FaceKey) -> int:
-        return self.faces[key].dim
-
-    @cached_property
-    def _ridge_degrees(self) -> dict[FaceKey, int]:
-        deg: dict[FaceKey, int] = {}
-        if self.dim < 1:
-            return deg
-        faces = self.faces
-        for cell in self.cells:
-            corners = cell.corners
-            for _, idxs in _facet_tables(cell.dim):
-                # The face's own key object, so the kept table holds no copies.
-                key = faces[frozenset([corners[i] for i in idxs])].key
-                deg[key] = deg.get(key, 0) + 1
-        return deg
-
-    def _close_ridges(self, keys: list) -> "CubicalComplex":
-        free = sorted((self.faces[k] for k in keys), key=_face_order)
-        return CubicalComplex.from_cells(
-            [CubicalCell(f.dim, f.corners) for f in free], validate=False
-        )
 
     @cached_property
     def h_short(self) -> HVector:
@@ -482,23 +508,19 @@ class CubicalComplex(_Derived):
         return {v: g_vector(h, upto=self.dim) for v, h in self.link_h_vectors.items()}
 
 
-class SimplicialComplex(_Derived):
+class SimplicialComplex(_FaceTable):
     """A downward closed family of vertex sets (the empty face is implicit)."""
 
     kind = "simplicial"
-
-    def __init__(self, faces: frozenset, cells: tuple, dim: int):
-        self.faces: frozenset = faces
-        self.cells: tuple[FaceKey, ...] = cells
-        self.dim: int = dim
-
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls(frozenset(), (), -1)
+    _table = staticmethod(_simplex_tables)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Downward closure of the given facets; contained facets are dropped."""
+        """Downward closure of the given facets; contained facets are dropped.
+
+        The facets are closed largest first, so a contained facet is already
+        a face when its turn comes and the closure leaves it out.
+        """
         keys = {frozenset(f) for f in facets}
         keys.discard(frozenset())
         if not keys:
@@ -507,100 +529,18 @@ class SimplicialComplex(_Derived):
             for v in f:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError(f"vertex ids must be nonnegative integers, got {v!r}")
-        maximal = [f for f in keys if not any(f < g for g in keys)]
-        faces = set()
-        for f in maximal:
-            vs = sorted(f)
-            for r in range(1, len(vs) + 1):
-                for c in combinations(vs, r):
-                    faces.add(frozenset(c))
-        cells = tuple(sorted(maximal, key=lambda k: (len(k), tuple(sorted(k)))))
-        return cls(frozenset(faces), cells, max(len(f) for f in maximal) - 1)
-
-    @classmethod
-    def _from_faces(cls, faces: frozenset) -> "SimplicialComplex":
-        """Wrap an already downward closed family of nonempty faces."""
-        if not faces:
-            return cls.empty()
-        maximal: list[frozenset] = []
-        for f in sorted(faces, key=lambda k: (-len(k), tuple(sorted(k)))):
-            if not any(f < m for m in maximal):
-                maximal.append(f)
-        cells = tuple(sorted(maximal, key=lambda k: (len(k), tuple(sorted(k)))))
-        return cls(frozenset(faces), cells, max(len(f) for f in faces) - 1)
-
-    def __eq__(self, other: object):
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.dim == other.dim and self.faces == other.faces
-
-    __hash__ = None  # type: ignore[assignment]
-
-    @cached_property
-    def faces_by_dim(self) -> tuple[tuple[frozenset, ...], ...]:
-        rows: list[list[frozenset]] = [[] for _ in range(self.dim + 1)]
-        for face in self.faces:
-            rows[len(face) - 1].append(face)
-        for row in rows:
-            row.sort(key=lambda k: tuple(sorted(k)))
-        return tuple(tuple(row) for row in rows)
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        if self.dim < 0:
-            return ()
-        return tuple(sorted(next(iter(f)) for f in self.faces_by_dim[0]))
+        order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
+        faces, cells = cls._close((len(c) - 1, c) for c in order)
+        return cls(faces, cells)
 
     def link(self, v: int) -> "SimplicialComplex":
         if frozenset((v,)) not in self.faces:
             raise UnknownVertex(str(v))
-        lk = {f - {v} for f in self.faces if v in f}
-        lk.discard(frozenset())
-        return SimplicialComplex._from_faces(frozenset(lk))
-
-    @cached_property
-    def link_euler(self) -> dict:
-        """Reduced Euler characteristic of the link of every nonempty face."""
-        acc = dict.fromkeys(self.faces, 0)
-        for face in self.faces:
-            gdim = len(face) - 1
-            vs = sorted(face)
-            for r in range(1, len(vs) + 1):
-                for sub in combinations(vs, r):
-                    acc[frozenset(sub)] += -1 if (gdim - r) % 2 else 1
-        return acc
-
-    @cached_property
-    def pure(self) -> bool:
-        return all(len(cell) - 1 == self.dim for cell in self.cells)
-
-    def _face_dim(self, key: frozenset) -> int:
-        return len(key) - 1
-
-    @cached_property
-    def _ridge_degrees(self) -> dict[frozenset, int]:
-        deg: dict[frozenset, int] = {}
-        if self.dim < 1:
-            return deg
-        # This complex's own ridge objects, so the kept table holds no copies.
-        ridges = {f: f for f in self.faces if len(f) == self.dim}
-        for c in self.cells:
-            for v in c:
-                r = ridges[c - {v}]
-                deg[r] = deg.get(r, 0) + 1
-        return deg
-
-    def _close_ridges(self, keys: list) -> "SimplicialComplex":
-        # Closed up from this complex's own face objects rather than copies.
-        own = {f: f for f in self.faces}
-        faces = frozenset(
-            own[frozenset(sub)]
-            for r in keys
-            for n in range(1, len(r) + 1)
-            for sub in combinations(r, n)
-        )
-        cells = tuple(sorted(keys, key=lambda k: tuple(sorted(k))))
-        return SimplicialComplex(faces, cells, self.dim - 1)
+        # Largest first, so the closure drops the faces of the star that lie in others.
+        star = sorted(self._star[v], key=lambda f: -f.dim)
+        return SimplicialComplex(*self._close(
+            (f.dim - 1, tuple(c for c in f.corners if c != v)) for f in star if f.dim > 0
+        ))
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]
@@ -636,7 +576,7 @@ def least_upper_bound(K: CubicalComplex, u: int, v: int):
     for w in (u, v):
         if frozenset((w,)) not in K.faces:
             raise UnknownVertex(str(w))
-    common = K._vertex_face_keys[u] & K._vertex_face_keys[v]
+    common = [f.key for f in K._star[u] if v in f.key]
     if not common:
         return None
     meet = reduce(frozenset.__and__, common)
@@ -652,8 +592,8 @@ def _relabeled_simplicial(simplices: list) -> SimplicialComplex:
     """Relabel atom keys (frozensets) to dense integer vertex ids."""
     names = sorted({a for s in simplices for a in s}, key=lambda k: tuple(sorted(k)))
     index = {k: i for i, k in enumerate(names)}
-    faces = frozenset(frozenset(index[a] for a in s) for s in simplices)
-    return SimplicialComplex._from_faces(faces)
+    facets = [[index[a] for a in s] for s in simplices]
+    return SimplicialComplex.from_facets(facets) if facets else SimplicialComplex.empty()
 
 
 def link_of_vertex(K: CubicalComplex, v: int) -> SimplicialComplex:
@@ -665,8 +605,7 @@ def link_of_vertex(K: CubicalComplex, v: int) -> SimplicialComplex:
     if frozenset((v,)) not in K.faces:
         raise UnknownVertex(str(v))
     simplices = []
-    for key in K._vertex_face_keys[v]:
-        face = K.faces[key]
+    for face in K._star[v]:
         if face.dim == 0:
             continue
         p = face.corners.index(v)
@@ -688,18 +627,11 @@ def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
     base = K.faces.get(key)
     if base is None:
         raise UnknownFace(_fmt_key(key))
-    keyset = set(key)
-    cofaces = reduce(frozenset.__and__, (K._vertex_face_keys[v] for v in key))
     simplices = []
-    for gkey in cofaces:
-        G = K.faces[gkey]
-        if G.dim == base.dim:
-            continue  # G is the base face itself: the empty link simplex
-        positions = [b for b, c in enumerate(G.corners) if c in keyset]
-        x = positions[0]
-        varying = 0
-        for b in positions[1:]:
-            varying |= b ^ x
+    for G in K._star[next(iter(key))]:
+        if G.dim == base.dim or not key <= G.key:
+            continue  # not a coface, or the base face itself: the empty link simplex
+        positions, varying = _span(G.corners, key)
         atoms = []
         for s in range(G.dim):
             if varying >> s & 1:

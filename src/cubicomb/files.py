@@ -65,10 +65,7 @@ def to_document(x) -> dict:
         doc["polytopal"] = True
     if gc.provenance:
         doc["provenance"] = gc.provenance
-    if C.kind == "cubical":
-        doc["cells"] = [list(cell.corners) for cell in C.cells]
-    else:
-        doc["cells"] = [sorted(cell) for cell in C.cells]
+    doc["cells"] = [list(cell.corners) for cell in C.cells]
     return doc
 
 

@@ -1,4 +1,13 @@
-"""Shared acceptance bookkeeping: verdict lines echoed after the run."""
+"""Shared acceptance bookkeeping, verdict lines echoed after the run, and the
+hypothesis profile: derandomized so every run draws the same examples, with
+no deadline (the host's speed drifts) and a bounded example count."""
+
+from hypothesis import settings
+
+settings.register_profile(
+    "cubicomb", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.load_profile("cubicomb")
 
 _RESULTS: dict[int, bool] = {}
 

@@ -121,3 +121,82 @@ def brute_least_upper_bounds(faces, u, v):
     """All inclusion-minimal faces containing both u and v."""
     containing = [k for k in faces if u in k and v in k]
     return [k for k in containing if not any(o < k for o in containing)]
+
+
+def _cube_subfaces(k):
+    """(dim, corner positions) of every subface of a k-cube in the order the
+    builder walks them: dimension descending, then free coordinates in
+    combination order, then the fixed bits counted up."""
+    out = []
+    for j in range(k, -1, -1):
+        for free in combinations(range(k), j):
+            fixed = [q for q in range(k) if q not in free]
+            for bits in product((0, 1), repeat=len(fixed)):
+                base = sum(1 << q for q, bit in zip(fixed, reversed(bits)) if bit)
+                positions = [
+                    base + sum(1 << q for t, q in enumerate(free) if m >> t & 1)
+                    for m in range(1 << j)
+                ]
+                out.append((j, positions))
+    return out
+
+
+def reference_cubical_closure(cells):
+    """The validated closure of CubicalCell values by scanning all cell pairs.
+
+    Returns ``(faces, cells)`` with faces as ``{key: (dim, corners)}`` and the
+    inclusion-maximal cells as ``(dim, corners)`` in the builder's order, or
+    raises the error the builder must raise, with its message.
+    """
+    from cubicomb import InconsistentSharedFace, IntersectionNotAFace
+
+    def fmt(key):
+        return "{%s}" % ", ".join(str(v) for v in sorted(key))
+
+    def facet_keys(corners, dim):
+        return {frozenset(corners[i] for i in pos) for j, pos in _cube_subfaces(dim) if j == dim - 1}
+
+    distinct, duplicates, seen = [], [], set()
+    for cell in cells:
+        (duplicates if cell.key in seen else distinct).append(cell)
+        seen.add(cell.key)
+    faces, keysets = {}, []
+
+    def derive(cell):
+        keys = set()
+        for j, pos in _cube_subfaces(cell.dim):
+            sub = tuple(cell.corners[i] for i in pos)
+            key = frozenset(sub)
+            keys.add(key)
+            if key not in faces:
+                faces[key] = (j, sub)
+            elif j >= 2 and faces[key][1] != sub and facet_keys(faces[key][1], j) != facet_keys(sub, j):
+                raise InconsistentSharedFace(
+                    f"cells induce different cube structures on the shared vertex set {fmt(key)}"
+                )
+        return keys
+
+    keysets = [derive(cell) for cell in distinct]
+    for cell in duplicates:
+        derive(cell)
+    maximal = [True] * len(distinct)
+    for a, ca in enumerate(distinct):
+        for b in range(a + 1, len(distinct)):
+            cb = distinct[b]
+            inter = ca.key & cb.key
+            if not inter:
+                continue
+            if inter not in faces:
+                raise IntersectionNotAFace(
+                    f"cells {fmt(ca.key)} and {fmt(cb.key)} intersect in {fmt(inter)}, which is not a face"
+                )
+            if inter not in keysets[a] or inter not in keysets[b]:
+                raise InconsistentSharedFace(
+                    f"intersection {fmt(inter)} of cells {fmt(ca.key)} and {fmt(cb.key)} is not a common subface"
+                )
+            if inter == ca.key:
+                maximal[a] = False
+            elif inter == cb.key:
+                maximal[b] = False
+    kept = [faces[c.key] for c, keep in zip(distinct, maximal) if keep]
+    return faces, sorted(kept, key=lambda f: (f[0], sorted(f[1])))

@@ -86,6 +86,13 @@ def test_shared_square_of_two_cubes_must_agree():
         build_cubical([cube, twisted])
 
 
+def test_contained_cell_must_agree_with_its_container():
+    cube = CubicalCell(3, tuple(range(8)))
+    with pytest.raises(InconsistentSharedFace):
+        build_cubical([cube, CubicalCell(2, (0, 1, 3, 2))])
+    assert len(build_cubical([cube, CubicalCell(2, (1, 0, 3, 2))]).cells) == 1
+
+
 def test_cell_dominated_by_another_is_dropped():
     edge = CubicalCell(1, (0, 1))
     K = build_cubical([SQUARE, edge])
@@ -262,12 +269,12 @@ def test_simplicial_from_facets_closure():
     S = build_simplicial([[1, 2, 3], [3, 4]])
     assert S.f_counts() == (4, 4, 1)
     assert {1, 2} in S and {3, 4} in S
-    assert S.cells == (frozenset({3, 4}), frozenset({1, 2, 3}))
+    assert tuple(c.key for c in S.cells) == (frozenset({3, 4}), frozenset({1, 2, 3}))
 
 
 def test_simplicial_dominated_facets_dropped():
     S = build_simplicial([[1, 2, 3], [1, 2]])
-    assert S.cells == (frozenset({1, 2, 3}),)
+    assert tuple(c.key for c in S.cells) == (frozenset({1, 2, 3}),)
 
 
 def test_simplicial_link():

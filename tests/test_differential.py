@@ -1,0 +1,148 @@
+"""Differential tests of the face-table builder against brute-force references.
+
+Cubical inputs are random subsets of pile and torus cells with every cell's
+corners moved by a random symmetry of the cube and the vertices relabelled,
+plus near-misses; the builder must agree with the all-pairs validator of
+``oracles.reference_cubical_closure`` on the faces and cells it returns, or
+on the type and message of the error it raises.  Simplicial inputs check
+links and maximal facets against their definitions.
+"""
+
+from itertools import combinations, product
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cubicomb import ComplexError, CubicalCell, CubicalComplex, SimplicialComplex, build_simplicial
+from families import simplicial_family
+from oracles import grid_vertex, reference_cubical_closure
+
+
+def grid_cells(sides, wrap):
+    """Corner tuples in bit order of the unit cubes of a grid or torus."""
+    shape = tuple(sides) if wrap else tuple(a + 1 for a in sides)
+    k = len(sides)
+    cells = []
+    for base in product(*(range(a) for a in sides)):
+        corners = []
+        for b in range(1 << k):
+            coords = [(c + (b >> q & 1)) % shape[q] for q, c in enumerate(base)]
+            corners.append(grid_vertex(coords, shape))
+        cells.append(tuple(corners))
+    return cells
+
+
+@st.composite
+def cube_symmetry(draw, k):
+    """A hyperoctahedral map of corner positions: permute the axes, then
+    reflect some of them."""
+    axes = draw(st.permutations(range(k)))
+    flips = draw(st.integers(0, (1 << k) - 1))
+    return [
+        sum(1 << axes[q] for q in range(k) if b >> q & 1) ^ flips for b in range(1 << k)
+    ]
+
+
+def swap_two(draw, corners):
+    i, j = draw(st.lists(st.integers(0, len(corners) - 1), min_size=2, max_size=2, unique=True))
+    out = list(corners)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+@st.composite
+def near_miss(draw, cells, fresh):
+    """A cell list with one defect (or one harmless extra) inserted."""
+    cells = list(cells)
+    i = draw(st.integers(0, len(cells) - 1))
+    c = cells[i]
+    full = len(c) - 1
+    kind = draw(st.sampled_from(["swap", "diagonal", "glued", "repeat", "contained"]))
+    if kind == "swap" and len(c) > 1:
+        cells[i] = swap_two(draw, c)
+    elif kind == "diagonal" and len(c) >= 4:
+        cells.insert(draw(st.integers(0, len(cells))), (c[0], c[full]))
+    elif kind == "glued" and len(c) >= 4:
+        cells.insert(draw(st.integers(0, len(cells))), (c[0], fresh, fresh + 1, c[full]))
+    elif kind == "repeat":
+        twin = swap_two(draw, c) if len(c) > 1 else c
+        cells.insert(draw(st.integers(0, len(cells))), twin)
+    elif kind == "contained" and len(c) > 1:
+        half = len(c) // 2
+        sub = c[:half] if draw(st.booleans()) else c[half:]
+        if draw(st.booleans()) and len(sub) > 1:
+            sub = swap_two(draw, sub)
+        cells.insert(draw(st.integers(0, len(cells))), sub)
+    return cells
+
+
+@st.composite
+def cubical_inputs(draw):
+    k = draw(st.sampled_from([1, 2, 3, 3]))
+    wrap = draw(st.booleans())
+    low = 3 if wrap else 1
+    sides = draw(st.lists(st.integers(low, low + 1 if k == 3 else low + 2), min_size=k, max_size=k))
+    pool = grid_cells(sides, wrap)
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=min(len(pool), 12), unique=True))
+    cells = []
+    for corners in chosen:
+        sym = draw(cube_symmetry(k))
+        cells.append(tuple(corners[sym[b]] for b in range(len(corners))))
+    n = max(v for c in pool for v in c) + 1
+    if draw(st.integers(0, 3)):
+        cells = draw(near_miss(cells, n))
+    labels = draw(st.permutations(range(2 * n + 2)))
+    return [CubicalCell(len(c).bit_length() - 1, tuple(labels[v] for v in c)) for c in cells]
+
+
+def outcome(build):
+    try:
+        return build()
+    except ComplexError as e:
+        return type(e), str(e)
+
+
+def built(cells):
+    K = CubicalComplex.from_cells(cells)
+    faces = {key: (f.dim, f.corners) for key, f in K.faces.items()}
+    return faces, [(c.dim, c.corners) for c in K.cells]
+
+
+@given(cubical_inputs())
+def test_validation_matches_the_all_pairs_reference(cells):
+    assert outcome(lambda: built(cells)) == outcome(lambda: reference_cubical_closure(cells))
+
+
+def brute_faces(facets):
+    return {frozenset(s) for f in facets for r in range(1, len(f) + 1) for s in combinations(f, r)}
+
+
+def check_against_definitions(S, facets):
+    keys = {frozenset(f) for f in facets} - {frozenset()}
+    assert set(S.faces) == brute_faces(keys)
+    assert {c.key for c in S.cells} == {f for f in keys if not any(f < g for g in keys)}
+    assert all(c.corners == tuple(sorted(c.key)) for c in S.faces.values())
+    for v in S.vertices:
+        expect = {f - {v} for f in S.faces if v in f} - {frozenset()}
+        assert set(S.link(v).faces) == expect
+
+
+facet_lists = st.lists(
+    st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True), min_size=1, max_size=12
+)
+
+
+@given(facet_lists, st.data())
+def test_simplicial_links_and_cells_match_definitions(facets, data):
+    # Repeat some facets and add some of their faces as extra facets.
+    extra = data.draw(st.lists(st.sampled_from(facets), max_size=4))
+    extra += [f[: data.draw(st.integers(1, len(f)))] for f in extra]
+    facets = facets + extra
+    check_against_definitions(build_simplicial(facets), facets)
+
+
+def test_simplicial_family_links_and_cells_match_definitions():
+    for gc in simplicial_family():
+        S = gc.complex
+        check_against_definitions(S, [c.key for c in S.cells])
+        assert S == SimplicialComplex.from_facets(sorted(S.faces, key=len))

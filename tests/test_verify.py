@@ -369,23 +369,24 @@ def _run_one_by_one(x):
 @pytest.mark.parametrize("runner", [_run_all, _run_one_by_one])
 def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
     builds, sweeps = [], []
-    from_cells = complexes.CubicalComplex.from_cells.__func__
+    close = complexes._FaceTable._close.__func__
     facet_tables = complexes._facet_tables
 
-    def counted_from_cells(cls, cells, validate=True):
-        builds.append(validate)
-        return from_cells(cls, cells, validate)
+    def counted_close(cls, cells, source=None, conflict=None):
+        if source is not None:  # a subcomplex of a built complex: the boundary
+            builds.append(cls)
+        return close(cls, cells, source, conflict)
 
-    def counted_facet_tables(k):
+    def counted_facet_tables(table, k):
         sweeps.append(k)
-        return facet_tables(k)
+        return facet_tables(table, k)
 
     ball = pile_of_cubes(3, 2, 2)
     sphere = pile_boundary(3, 2, 2)
-    monkeypatch.setattr(complexes.CubicalComplex, "from_cells", classmethod(counted_from_cells))
+    monkeypatch.setattr(complexes._FaceTable, "_close", classmethod(counted_close))
     monkeypatch.setattr(complexes, "_facet_tables", counted_facet_tables)
     runner(ball)
-    assert builds == [False]  # the boundary, built once
+    assert builds == [complexes.CubicalComplex]  # the boundary, built once
     assert len(sweeps) == len(ball.complex.cells)  # one ridge-degree sweep
     table = _CountedItems(sphere.complex.link_euler)
     vars(sphere.complex)["link_euler"] = table
