@@ -27,14 +27,7 @@ from .generators import (
     stacked_simplicial_ball,
     stacked_sphere,
 )
-from .vectors import (
-    f_vector,
-    g_vector,
-    h_long_cubical,
-    h_short_cubical_from_f,
-    h_simplicial,
-    reduced_euler,
-)
+from .vectors import f_vector, g_vector, h_simplicial, reduced_euler
 from .verify import SUITES, run_suite
 from .report import format_report
 
@@ -133,19 +126,21 @@ def _vector_rows(inv: str, C) -> list[tuple[int, int]]:
         raise ValueError(f"invariant {inv!r} needs a cubical complex, got {C.kind}")
     if C.dim < 0:
         raise ValueError(f"invariant {inv!r} needs a nonempty complex")
-    hsc = h_short_cubical_from_f(f_vector(C))
     if inv == "hsc":
-        return list(enumerate(hsc.entries))
-    hc = h_long_cubical(hsc)
+        return list(enumerate(C.h_short.entries))
     if inv == "hc":
-        return list(enumerate(hc.entries))
-    return list(enumerate(g_vector(hc).entries))
+        return list(enumerate(C.h_long.entries))
+    return list(enumerate(g_vector(C.h_long).entries))
 
 
 def _link_rows(C) -> list[tuple[int, list[int]]]:
-    if C.kind == "cubical":
-        return [(v, list(C.vertex_coface_counts[v][1:])) for v in C.vertices]
-    return [(v, list(C.link(v).f_counts())) for v in C.vertices]
+    """Face counts of every vertex link, read off the vertex coface counts:
+    a simplicial row ends at the link's own dimension, where the counts
+    turn zero; a cubical row runs to dimension dim - 1 of the complex."""
+    rows = [(v, list(counts[1:])) for v, counts in C.vertex_coface_counts.items()]
+    if C.kind == "simplicial":
+        return [(v, row[: len(row) - row.count(0)]) for v, row in rows]
+    return rows
 
 
 def _cmd_compute(args) -> int:

@@ -340,6 +340,20 @@ class _FaceTable:
         return star
 
     @cached_property
+    def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
+        """For each vertex, how many i-faces contain it, i = 0..dim.
+
+        Entry i of the value equals the number of (i-1)-faces of the vertex
+        link, since faces through a vertex correspond to link faces; the
+        entries are nonzero exactly up to the dimension of the vertex star.
+        """
+        counts = {v: [0] * (self.dim + 1) for v in self.vertices}
+        for face in self.faces.values():
+            for v in face.key:
+                counts[v][face.dim] += 1
+        return {v: tuple(c) for v, c in counts.items()}
+
+    @cached_property
     def link_euler(self) -> dict[FaceKey, int]:
         """Reduced Euler characteristic of the link of every nonempty face.
 
@@ -467,19 +481,6 @@ class CubicalComplex(_FaceTable):
         return cls(faces, [faces[k] for k, keep in zip(keys, maximal) if keep])
 
     @cached_property
-    def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
-        """For each vertex, how many i-faces contain it, i = 0..dim.
-
-        Entry i of the value equals the number of (i-1)-faces of the vertex
-        link, since faces through a vertex correspond to link faces.
-        """
-        counts = {v: [0] * (self.dim + 1) for v in self.vertices}
-        for face in self.faces.values():
-            for v in face.key:
-                counts[v][face.dim] += 1
-        return {v: tuple(c) for v, c in counts.items()}
-
-    @cached_property
     def h_short(self) -> HVector:
         """Short cubical h-vector from the face counts."""
         return h_short_cubical_from_f(f_vector(self))
@@ -588,40 +589,20 @@ def least_upper_bound(K: CubicalComplex, u: int, v: int):
     return found
 
 
-def _relabeled_simplicial(simplices: list) -> SimplicialComplex:
-    """Relabel atom keys (frozensets) to dense integer vertex ids."""
-    names = sorted({a for s in simplices for a in s}, key=lambda k: tuple(sorted(k)))
-    index = {k: i for i, k in enumerate(names)}
-    facets = [[index[a] for a in s] for s in simplices]
-    return SimplicialComplex.from_facets(facets) if facets else SimplicialComplex.empty()
-
-
 def link_of_vertex(K: CubicalComplex, v: int) -> SimplicialComplex:
-    """Link of a vertex: one (i-1)-simplex per i-face through v.
-
-    Vertices of the link are the edges at v; the simplex of a face F through
-    v consists of the edges of F through v, one per free coordinate of F.
-    """
+    """Link of a vertex: one (i-1)-simplex per i-face through v, on the
+    edges at v.  This is :func:`link_face` of the vertex."""
     if frozenset((v,)) not in K.faces:
         raise UnknownVertex(str(v))
-    simplices = []
-    for face in K._star[v]:
-        if face.dim == 0:
-            continue
-        p = face.corners.index(v)
-        simplices.append(
-            frozenset(
-                frozenset((v, face.corners[p ^ (1 << q)])) for q in range(face.dim)
-            )
-        )
-    return _relabeled_simplicial(simplices)
+    return link_face(K, (v,))
 
 
 def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
     """Link of a nonempty face F: the Boolean upper interval above F.
 
-    Vertices of the link are the (dim F + 1)-faces containing F; a coface G
-    contributes the simplex of its atoms, one per coordinate of G fixed on F.
+    Vertices of the link are the (dim F + 1)-faces containing F, numbered
+    in the order of their sorted vertices; a coface G contributes the
+    simplex of its atoms, one per coordinate of G fixed on F.
     """
     key = face_or_key.key if isinstance(face_or_key, Face) else frozenset(face_or_key)
     base = K.faces.get(key)
@@ -641,8 +622,12 @@ def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
                     G.corners[i] for b in positions for i in (b, b ^ (1 << s))
                 )
             )
-        simplices.append(frozenset(atoms))
-    return _relabeled_simplicial(simplices)
+        simplices.append(atoms)
+    if not simplices:
+        return SimplicialComplex.empty()
+    names = sorted({a for s in simplices for a in s}, key=lambda k: tuple(sorted(k)))
+    index = {k: i for i, k in enumerate(names)}
+    return SimplicialComplex.from_facets([index[a] for a in s] for s in simplices)
 
 
 def boundary_complex(C: Complex) -> Complex:

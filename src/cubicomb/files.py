@@ -22,7 +22,7 @@ from .complexes import (
     SimplicialComplex,
     ValidationFailed,
 )
-from .generators import GeneratedComplex, check_topology_metadata
+from .generators import GeneratedComplex, as_generated, check_topology_metadata
 
 __all__ = ["FORMAT_VERSION", "ParseError", "to_document", "serializes", "serialize", "parses", "parse"]
 
@@ -44,15 +44,9 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _as_generated(x) -> GeneratedComplex:
-    if isinstance(x, GeneratedComplex):
-        return x
-    return GeneratedComplex(x, "none", "")
-
-
 def to_document(x) -> dict:
     """Plain-data form of a complex with its metadata."""
-    gc = _as_generated(x)
+    gc = as_generated(x)
     C = gc.complex
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
@@ -109,6 +103,8 @@ def parses(text: str) -> GeneratedComplex:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
         raise ParseError("the document nests arrays or objects too deeply") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError("a number has too many digits to read") from None
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - _KNOWN_FIELDS)
@@ -168,5 +164,8 @@ def parses(text: str) -> GeneratedComplex:
 
 def parse(path) -> GeneratedComplex:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     return parses(text)

@@ -15,18 +15,15 @@ from itertools import product
 from .complexes import (
     Complex,
     CubicalCell,
-    CubicalComplex,
-    SimplicialComplex,
     ValidationFailed,
-    boundary_complex,
     build_cubical,
     build_simplicial,
 )
 from .vectors import reduced_euler
-from .verify import is_pseudomanifold, is_pure
 
 __all__ = [
     "GeneratedComplex",
+    "as_generated",
     "TOPOLOGY_TAGS",
     "check_topology_metadata",
     "cube_boundary",
@@ -63,6 +60,11 @@ class GeneratedComplex:
     polytopal: bool = False
 
 
+def as_generated(x) -> GeneratedComplex:
+    """``x`` itself, or a bare complex with no topology metadata."""
+    return x if isinstance(x, GeneratedComplex) else GeneratedComplex(x, "none", "")
+
+
 def check_topology_metadata(gc: GeneratedComplex) -> None:
     """Cheap consistency checks between a complex and its topology tag.
 
@@ -76,7 +78,7 @@ def check_topology_metadata(gc: GeneratedComplex) -> None:
     if tag not in TOPOLOGY_TAGS:
         raise ValidationFailed(f"unknown topology tag {tag!r}")
     if tag in ("sphere", "torus", "closed-manifold"):
-        if not (is_pure(C) and is_pseudomanifold(C)):
+        if not (C.pure and C.pseudomanifold):
             raise ValidationFailed(
                 f"topology {tag!r} needs a closed pseudomanifold, got {C!r}"
             )
@@ -85,19 +87,19 @@ def check_topology_metadata(gc: GeneratedComplex) -> None:
             raise ValidationFailed(
                 f"topology 'ball' needs reduced Euler characteristic 0, got {reduced_euler(C)}"
             )
-        if not is_pure(C):
+        if not C.pure:
             raise ValidationFailed("topology 'ball' needs a pure complex")
-        if C.dim >= 1 and boundary_complex(C).dim < 0:
+        if C.dim >= 1 and C.boundary.dim < 0:
             raise ValidationFailed("topology 'ball' needs a nonempty boundary")
     elif tag == "manifold-with-boundary":
-        if not is_pure(C):
+        if not C.pure:
             raise ValidationFailed("topology 'manifold-with-boundary' needs a pure complex")
         degrees = set(C.ridge_degrees().values())
         if not degrees <= {1, 2}:
             raise ValidationFailed(
                 f"topology 'manifold-with-boundary' allows ridge degrees 1 and 2, got {sorted(degrees)}"
             )
-        if boundary_complex(C).dim < 0:
+        if C.boundary.dim < 0:
             raise ValidationFailed("topology 'manifold-with-boundary' needs a nonempty boundary")
 
 
@@ -135,28 +137,33 @@ def _grid_vertex(coords: tuple[int, ...], shape: tuple[int, ...]) -> int:
     return vid
 
 
-def pile_of_cubes(*sides: int) -> GeneratedComplex:
-    """Box-shaped grid of unit cubes, sides[t] cubes along axis t."""
-    if not sides or any(a < 1 for a in sides):
-        raise ValueError("pile_of_cubes needs positive side lengths")
+def _grid_cells(sides: tuple[int, ...], wrap: bool) -> list[CubicalCell]:
+    """The unit cubes of a box with sides[t] cubes along axis t; with
+    ``wrap`` set, coordinate t runs modulo sides[t], closing up a torus."""
     n = len(sides)
-    shape = tuple(a + 1 for a in sides)
+    shape = sides if wrap else tuple(a + 1 for a in sides)
     cells = []
     for base in product(*[range(a) for a in sides]):
         corners = []
         for m in range(1 << n):
-            coords = tuple(base[q] + (m >> q & 1) for q in range(n))
+            coords = tuple((base[q] + (m >> q & 1)) % shape[q] for q in range(n))
             corners.append(_grid_vertex(coords, shape))
         cells.append(CubicalCell(n, tuple(corners)))
-    K = build_cubical(cells)
+    return cells
+
+
+def pile_of_cubes(*sides: int) -> GeneratedComplex:
+    """Box-shaped grid of unit cubes, sides[t] cubes along axis t."""
+    if not sides or any(a < 1 for a in sides):
+        raise ValueError("pile_of_cubes needs positive side lengths")
+    K = build_cubical(_grid_cells(sides, wrap=False))
     label = ", ".join(str(a) for a in sides)
     return GeneratedComplex(K, "ball", f"pile_of_cubes({label})", polytopal=True)
 
 
 def pile_boundary(*sides: int) -> GeneratedComplex:
     """Boundary sphere of a pile of cubes."""
-    base = pile_of_cubes(*sides)
-    K = boundary_complex(base.complex)
+    K = pile_of_cubes(*sides).complex.boundary
     label = ", ".join(str(a) for a in sides)
     return GeneratedComplex(K, "sphere", f"pile_boundary({label})", polytopal=True)
 
@@ -165,15 +172,7 @@ def cubical_torus(*sides: int) -> GeneratedComplex:
     """Grid on the d-torus: coordinates wrap modulo sides[t] (each >= 3)."""
     if not sides or any(a < 3 for a in sides):
         raise ValueError("cubical_torus needs every side length >= 3")
-    n = len(sides)
-    cells = []
-    for base in product(*[range(a) for a in sides]):
-        corners = []
-        for m in range(1 << n):
-            coords = tuple((base[q] + (m >> q & 1)) % sides[q] for q in range(n))
-            corners.append(_grid_vertex(coords, sides))
-        cells.append(CubicalCell(n, tuple(corners)))
-    K = build_cubical(cells)
+    K = build_cubical(_grid_cells(sides, wrap=True))
     label = ", ".join(str(a) for a in sides)
     return GeneratedComplex(K, "torus", f"cubical_torus({label})")
 
@@ -182,13 +181,11 @@ def stacked_cubical(n_cells: int, rank: int) -> tuple[GeneratedComplex, Generate
     """A row of n_cells rank-dimensional cubes and its boundary sphere."""
     if n_cells < 1 or rank < 1:
         raise ValueError("stacked_cubical needs n_cells >= 1 and rank >= 1")
-    sides = (n_cells,) + (1,) * (rank - 1)
-    ball = pile_of_cubes(*sides)
-    sphere = pile_boundary(*sides)
+    ball = pile_of_cubes(n_cells, *(1,) * (rank - 1)).complex
     label = f"stacked_cubical({n_cells}, {rank})"
     return (
-        GeneratedComplex(ball.complex, "ball", label + " ball", polytopal=True),
-        GeneratedComplex(sphere.complex, "sphere", label + " boundary", polytopal=True),
+        GeneratedComplex(ball, "ball", label + " ball", polytopal=True),
+        GeneratedComplex(ball.boundary, "sphere", label + " boundary", polytopal=True),
     )
 
 
@@ -273,7 +270,7 @@ def stacked_sphere(d: int, n_vertices: int) -> GeneratedComplex:
     if n_vertices < d + 2:
         raise ValueError("a stacked d-sphere needs at least d + 2 vertices")
     ball = stacked_simplicial_ball(d + 1, n_vertices - d - 1)
-    S = boundary_complex(ball.complex)
+    S = ball.complex.boundary
     return GeneratedComplex(S, "sphere", f"stacked_sphere({d}, {n_vertices})")
 
 

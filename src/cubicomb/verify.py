@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, NamedTuple
 
+from .generators import GeneratedComplex, as_generated
 from .macaulay import pseudopower
 from .report import Check, Precondition, make_report, VerificationReport
 from .vectors import (
@@ -75,20 +76,7 @@ def is_eulerian(K) -> bool:
     return K.eulerian
 
 
-class Subject(NamedTuple):
-    """A complex under verification with the topology flags it carries."""
-
-    C: object
-    topology: str
-    polytopal: bool
-
-
-def _subject(x) -> Subject:
-    C = getattr(x, "complex", x)
-    return Subject(C, getattr(x, "topology", "none"), bool(getattr(x, "polytopal", False)))
-
-
-Gate = Callable[[Subject], Precondition]
+Gate = Callable[[GeneratedComplex], Precondition]
 
 
 class Advisory(NamedTuple):
@@ -101,91 +89,96 @@ class Advisory(NamedTuple):
 
 
 def _kind(kind: str) -> Gate:
-    return lambda s: Precondition(f"{kind} complex", s.C.kind == kind)
+    return lambda gc: Precondition(f"{kind} complex", gc.complex.kind == kind)
 
 
-def _nonempty(s: Subject) -> Precondition:
-    return Precondition("nonempty", s.C.dim >= 0, f"dim {s.C.dim}")
+def _nonempty(gc: GeneratedComplex) -> Precondition:
+    return Precondition("nonempty", gc.complex.dim >= 0, f"dim {gc.complex.dim}")
 
 
-def _pure(s: Subject) -> Precondition:
-    return Precondition("pure", s.C.pure)
+def _pure(gc: GeneratedComplex) -> Precondition:
+    return Precondition("pure", gc.complex.pure)
 
 
 def _dim_at_least(n: int) -> Gate:
-    return lambda s: Precondition(f"dimension >= {n}", s.C.dim >= n, f"dim {s.C.dim}")
-
-
-def _dim_four(s: Subject) -> Precondition:
-    return Precondition("dimension 4", s.C.dim == 4, f"dim {s.C.dim}")
-
-
-def _even_dim(s: Subject) -> Precondition:
-    d = s.C.dim
-    return Precondition("even dimension >= 2", d >= 2 and d % 2 == 0, f"dim {d}")
-
-
-def _pseudomanifold(s: Subject) -> Precondition:
-    return Precondition("closed pseudomanifold", s.C.pseudomanifold)
-
-
-def _semi_eulerian(s: Subject) -> Precondition:
-    return Precondition("semi-Eulerian", s.C.semi_eulerian, f"reduced Euler {reduced_euler(s.C)}")
-
-
-def _eulerian(s: Subject) -> Precondition:
-    return Precondition("Eulerian", s.C.eulerian, f"reduced Euler {reduced_euler(s.C)}")
-
-
-def _reduced_euler_zero(s: Subject) -> Precondition:
-    chi = reduced_euler(s.C)
-    return Precondition("reduced Euler 0", chi == 0, f"reduced Euler {chi}")
-
-
-def _sphere(s: Subject) -> Precondition:
-    return Precondition("flagged as a sphere", s.topology == "sphere", f"topology {s.topology}")
-
-
-def _ball(s: Subject) -> Precondition:
-    return Precondition("flagged as a ball", s.topology == "ball", f"topology {s.topology}")
-
-
-def _polytopal(s: Subject) -> Precondition:
-    return Precondition("flagged polytopal", s.polytopal)
-
-
-def _with_boundary(s: Subject) -> Precondition:
-    return Precondition(
-        "flagged as a manifold with boundary",
-        s.topology in ("ball", "manifold-with-boundary"),
-        f"topology {s.topology}",
+    return lambda gc: Precondition(
+        f"dimension >= {n}", gc.complex.dim >= n, f"dim {gc.complex.dim}"
     )
 
 
-def _ridges_in_one_or_two(s: Subject) -> Precondition:
-    degrees = set(s.C.ridge_degrees().values())
+def _dim_four(gc: GeneratedComplex) -> Precondition:
+    return Precondition("dimension 4", gc.complex.dim == 4, f"dim {gc.complex.dim}")
+
+
+def _even_dim(gc: GeneratedComplex) -> Precondition:
+    d = gc.complex.dim
+    return Precondition("even dimension >= 2", d >= 2 and d % 2 == 0, f"dim {d}")
+
+
+def _pseudomanifold(gc: GeneratedComplex) -> Precondition:
+    return Precondition("closed pseudomanifold", gc.complex.pseudomanifold)
+
+
+def _semi_eulerian(gc: GeneratedComplex) -> Precondition:
+    C = gc.complex
+    return Precondition("semi-Eulerian", C.semi_eulerian, f"reduced Euler {reduced_euler(C)}")
+
+
+def _eulerian(gc: GeneratedComplex) -> Precondition:
+    C = gc.complex
+    return Precondition("Eulerian", C.eulerian, f"reduced Euler {reduced_euler(C)}")
+
+
+def _reduced_euler_zero(gc: GeneratedComplex) -> Precondition:
+    chi = reduced_euler(gc.complex)
+    return Precondition("reduced Euler 0", chi == 0, f"reduced Euler {chi}")
+
+
+def _sphere(gc: GeneratedComplex) -> Precondition:
+    return Precondition("flagged as a sphere", gc.topology == "sphere", f"topology {gc.topology}")
+
+
+def _ball(gc: GeneratedComplex) -> Precondition:
+    return Precondition("flagged as a ball", gc.topology == "ball", f"topology {gc.topology}")
+
+
+def _polytopal(gc: GeneratedComplex) -> Precondition:
+    return Precondition("flagged polytopal", gc.polytopal)
+
+
+def _with_boundary(gc: GeneratedComplex) -> Precondition:
+    return Precondition(
+        "flagged as a manifold with boundary",
+        gc.topology in ("ball", "manifold-with-boundary"),
+        f"topology {gc.topology}",
+    )
+
+
+def _ridges_in_one_or_two(gc: GeneratedComplex) -> Precondition:
+    degrees = set(gc.complex.ridge_degrees().values())
     return Precondition(
         "every ridge lies in one or two facets", degrees <= {1, 2}, f"degrees {sorted(degrees)}"
     )
 
 
-def _nonempty_boundary(s: Subject) -> Precondition:
-    bdim = s.C.boundary.dim
+def _nonempty_boundary(gc: GeneratedComplex) -> Precondition:
+    bdim = gc.complex.boundary.dim
     return Precondition("nonempty boundary", bdim >= 0, f"boundary dim {bdim}")
 
 
-def _nonempty_boundary_unless_point(s: Subject) -> Precondition:
-    bdim = s.C.boundary.dim
+def _nonempty_boundary_unless_point(gc: GeneratedComplex) -> Precondition:
+    bdim = gc.complex.boundary.dim
     return Precondition(
         "nonempty boundary (a point may have none)",
-        bdim >= 0 or s.C.dim == 0,
+        bdim >= 0 or gc.complex.dim == 0,
         f"boundary dim {bdim}",
     )
 
 
-def _flat_vertex_links(s: Subject) -> Precondition:
-    d = s.C.dim
-    uneven = [(v, h.entries) for v, h in s.C.link_h_vectors.items() if len(set(h.entries[1:d])) > 1]
+def _flat_vertex_links(gc: GeneratedComplex) -> Precondition:
+    C = gc.complex
+    d = C.dim
+    uneven = [(v, h.entries) for v, h in C.link_h_vectors.items() if len(set(h.entries[1:d])) > 1]
     return Precondition(
         "every vertex link has h_1 = ... = h_{d-1}",
         not uneven,
@@ -193,8 +186,8 @@ def _flat_vertex_links(s: Subject) -> Precondition:
     )
 
 
-def _link_g2_at_most_2(s: Subject) -> Precondition:
-    link_g = s.C.link_g_vectors
+def _link_g2_at_most_2(gc: GeneratedComplex) -> Precondition:
+    link_g = gc.complex.link_g_vectors
     worst = max(link_g, key=lambda v: link_g[v].g(2))
     return Precondition(
         "every vertex link has g_2 <= 2",
@@ -203,9 +196,9 @@ def _link_g2_at_most_2(s: Subject) -> Precondition:
     )
 
 
-def _small_vertex_links(s: Subject) -> Precondition:
-    k = s.C.dim // 2
-    counts = s.C.vertex_coface_counts
+def _small_vertex_links(gc: GeneratedComplex) -> Precondition:
+    k = gc.complex.dim // 2
+    counts = gc.complex.vertex_coface_counts
     fat = [v for v, n in counts.items() if n[1] not in (2 * k + 1, 2 * k + 2)]
     return Precondition(
         "every vertex link has 2k+1 or 2k+2 vertices",
@@ -237,18 +230,18 @@ class Verifier:
     checks: Callable[[object], list[Check]]
 
     def __call__(self, x) -> VerificationReport:
-        s = _subject(x)
+        gc = as_generated(x)
         pre = []
         for stage in self.stages:
             blocked = False
             for gate in stage:
                 advisory = isinstance(gate, Advisory)
-                p = (gate.gate if advisory else gate)(s)
+                p = (gate.gate if advisory else gate)(gc)
                 pre.append(p)
                 blocked = blocked or not (p.ok or advisory)
             if blocked:
                 return make_report(self.name, pre)
-        return make_report(self.name, pre, self.checks(s.C))
+        return make_report(self.name, pre, self.checks(gc.complex))
 
 
 # Filled by @_verifier in definition order; the suite tables derive from it.
@@ -531,11 +524,10 @@ def verify_cubical_boundary_ds(C) -> list[Check]:
     for j in range(1, d + 1):
         rhs = _neg_pow(j) * (-2) ** d * chi - (hc_b.h(j) - hc_b.h(j - 1))
         checks.append(Check(f"j={j}", hc.h(d + 1 - j) - hc.h(j), rhs))
-    interior = [0] * (d + 1)
-    for key, face in C.faces.items():
-        if key not in boundary.faces:
-            interior[face.dim] += 1
-    hsc_interior = h_short_cubical_from_f(FVector("cubical", d, tuple(interior)))
+    # The boundary is a subcomplex, so its faces are the non-interior ones.
+    f, f_b = f_vector(C), f_vector(boundary)
+    interior = tuple(f.f(i) - f_b.f(i) for i in range(d + 1))
+    hsc_interior = h_short_cubical_from_f(FVector("cubical", d, interior))
     for j in range(d + 1):
         checks.append(Check(f"interior-reversal j={j}", hsc_interior.h(j), hsc.h(d - j)))
     for j in range(d + 1):
@@ -592,7 +584,7 @@ SUITES: dict[str, tuple[str, tuple]] = {
 
 def run_suite(suite: str, x) -> list[VerificationReport]:
     """Run a named verifier suite; "all" runs everything matching the kind."""
-    kind = _subject(x).C.kind
+    kind = as_generated(x).complex.kind
     if suite == "all":
         return [v(x) for v in REGISTRY if v.kind == kind]
     if suite not in SUITES:

@@ -4,8 +4,10 @@ Cubical inputs are random subsets of pile and torus cells with every cell's
 corners moved by a random symmetry of the cube and the vertices relabelled,
 plus near-misses; the builder must agree with the all-pairs validator of
 ``oracles.reference_cubical_closure`` on the faces and cells it returns, or
-on the type and message of the error it raises.  Simplicial inputs check
-links and maximal facets against their definitions.
+on the type and message of the error it raises.  The valid ones must also
+round-trip through a document and pass the unconditional h-vector
+identities.  Simplicial inputs check links, vertex coface counts and maximal
+facets against their definitions.
 """
 
 from itertools import combinations, product
@@ -13,7 +15,16 @@ from itertools import combinations, product
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubicomb import ComplexError, CubicalCell, CubicalComplex, SimplicialComplex, build_simplicial
+from cubicomb import (
+    ComplexError,
+    CubicalCell,
+    CubicalComplex,
+    SimplicialComplex,
+    build_simplicial,
+    parses,
+    serializes,
+    verify_h_vector_identities,
+)
 from families import simplicial_family
 from oracles import grid_vertex, reference_cubical_closure
 
@@ -113,6 +124,27 @@ def test_validation_matches_the_all_pairs_reference(cells):
     assert outcome(lambda: built(cells)) == outcome(lambda: reference_cubical_closure(cells))
 
 
+def valid_complex(cells):
+    try:
+        return CubicalComplex.from_cells(cells)
+    except ComplexError:
+        return None
+
+
+@given(cubical_inputs())
+def test_documents_round_trip_valid_cubical_inputs(cells):
+    K = valid_complex(cells)
+    if K is not None:
+        assert parses(serializes(K)).complex == K
+
+
+@given(cubical_inputs())
+def test_h_vector_identities_never_fail_on_valid_cubical_inputs(cells):
+    K = valid_complex(cells)
+    if K is not None:
+        assert verify_h_vector_identities(K).status != "fail"
+
+
 def brute_faces(facets):
     return {frozenset(s) for f in facets for r in range(1, len(f) + 1) for s in combinations(f, r)}
 
@@ -124,7 +156,11 @@ def check_against_definitions(S, facets):
     assert all(c.corners == tuple(sorted(c.key)) for c in S.faces.values())
     for v in S.vertices:
         expect = {f - {v} for f in S.faces if v in f} - {frozenset()}
-        assert set(S.link(v).faces) == expect
+        link = S.link(v)
+        assert set(link.faces) == expect
+        # The link face counts are the vertex's coface counts up to the last nonzero one.
+        counts = list(S.vertex_coface_counts[v][1:])
+        assert tuple(counts[: len(counts) - counts.count(0)]) == link.f_counts()
 
 
 facet_lists = st.lists(

@@ -80,6 +80,21 @@ def test_parse_error_on_deep_nesting():
         parses("[" * 200_000)
 
 
+def test_parse_error_on_an_integer_past_the_digit_limit():
+    doc = '{"format_version": "1", "kind": "cubical", "dim": %s, "cells": []}' % ("9" * 5000)
+    with pytest.raises(ParseError, match="too many digits"):
+        parses(doc)
+
+
+def test_parse_error_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"provenance": "café"}'.encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse(path)
+    assert entry(["compute", "f", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not UTF-8")
+
+
 def test_parse_error_on_schema_problems():
     good = json.loads(serializes(cube_boundary(2)))
 
