@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .complexes import ComplexError
 from .files import parse, serialize
 from .generators import (
     cross_polytope_boundary,
@@ -200,7 +199,7 @@ def entry(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ComplexError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

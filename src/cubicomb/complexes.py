@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .vectors import (
     FVector,
@@ -339,6 +339,15 @@ class _FaceTable:
                 star[v].append(face)
         return star
 
+    def _link(self, key: FaceKey, names: Callable[[Face], tuple[int, ...]]) -> "SimplicialComplex":
+        """The upper interval above the face ``key``: every coface G gives
+        the simplex ``names(G)``, a sorted tuple.  The cofaces are closed
+        largest first, so the closure keeps only the maximal simplices."""
+        star = self._star[next(iter(key))]
+        cofaces = sorted((G for G in star if key < G.key), key=lambda G: -G.dim)
+        simplices = map(names, cofaces)
+        return SimplicialComplex(*SimplicialComplex._close((len(s) - 1, s) for s in simplices))
+
     @cached_property
     def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
         """For each vertex, how many i-faces contain it, i = 0..dim.
@@ -385,8 +394,6 @@ class _FaceTable:
     @cached_property
     def _ridge_degrees(self) -> dict[FaceKey, int]:
         deg: dict[FaceKey, int] = {}
-        if self.dim < 1:
-            return deg
         faces = self.faces
         for cell in self.cells:
             corners = cell.corners
@@ -425,10 +432,6 @@ class _FaceTable:
     @cached_property
     def boundary(self):
         """Closure of the ridges lying in exactly one facet; empty when closed."""
-        if self.dim <= 0:
-            if not self.pure:
-                raise NotPure("boundary needs a pure complex")
-            return self.empty()
         free = [self.faces[key] for key, n in self.ridge_degrees().items() if n == 1]
         # Closed up from this complex's own Face objects rather than copies.
         return type(self)(*self._close([(f.dim, f.corners) for f in free], self.faces))
@@ -458,26 +461,24 @@ class CubicalComplex(_FaceTable):
         mutually consistent.
         """
         distinct: dict[FaceKey, CubicalCell] = {}
-        duplicates: list[CubicalCell] = []
+        repeated: list[CubicalCell] = []
         for cell in cells:
             if not isinstance(cell, CubicalCell):
                 raise TypeError("from_cells expects CubicalCell values")
             if distinct.setdefault(cell.key, cell) is not cell:
-                duplicates.append(cell)
+                repeated.append(cell)
         keys, cell_list = list(distinct), list(distinct.values())
         if not cell_list:
             raise ValueError(
                 "at least one cell is required; use CubicalComplex.empty() for the empty complex"
             )
+        # A repeated vertex set is already a face when its turn comes, so the
+        # closure only checks that it describes the same cube.
         faces, _ = cls._close(
-            [(c.dim, c.corners) for c in cell_list], conflict=_same_cube if validate else None
+            [(c.dim, c.corners) for c in cell_list + repeated],
+            conflict=_same_cube if validate else None,
         )
-        maximal = [True] * len(cell_list)
-        if validate:
-            # A repeated vertex set is fine only if it describes the same cube.
-            for cell in duplicates:
-                _same_cube(faces[cell.key], cell.corners, cell.dim)
-            maximal = _check_pairs(cell_list, keys, faces)
+        maximal = _check_pairs(cell_list, keys, faces) if validate else [True] * len(cell_list)
         return cls(faces, [faces[k] for k, keep in zip(keys, maximal) if keep])
 
     @cached_property
@@ -537,11 +538,7 @@ class SimplicialComplex(_FaceTable):
     def link(self, v: int) -> "SimplicialComplex":
         if frozenset((v,)) not in self.faces:
             raise UnknownVertex(str(v))
-        # Largest first, so the closure drops the faces of the star that lie in others.
-        star = sorted(self._star[v], key=lambda f: -f.dim)
-        return SimplicialComplex(*self._close(
-            (f.dim - 1, tuple(c for c in f.corners if c != v)) for f in star if f.dim > 0
-        ))
+        return self._link(frozenset((v,)), lambda G: tuple([c for c in G.corners if c != v]))
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]
@@ -600,34 +597,16 @@ def link_of_vertex(K: CubicalComplex, v: int) -> SimplicialComplex:
 def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
     """Link of a nonempty face F: the Boolean upper interval above F.
 
-    Vertices of the link are the (dim F + 1)-faces containing F, numbered
-    in the order of their sorted vertices; a coface G contributes the
-    simplex of its atoms, one per coordinate of G fixed on F.
+    Vertices of the link are the cofacets of F, the (dim F + 1)-faces
+    containing it, numbered in the order of their sorted vertices; a coface
+    G contributes the simplex of the cofacets it contains.
     """
-    key = face_or_key.key if isinstance(face_or_key, Face) else frozenset(face_or_key)
-    base = K.faces.get(key)
-    if base is None:
-        raise UnknownFace(_fmt_key(key))
-    simplices = []
-    for G in K._star[next(iter(key))]:
-        if G.dim == base.dim or not key <= G.key:
-            continue  # not a coface, or the base face itself: the empty link simplex
-        positions, varying = _span(G.corners, key)
-        atoms = []
-        for s in range(G.dim):
-            if varying >> s & 1:
-                continue  # s is a free coordinate of the base face
-            atoms.append(
-                frozenset(
-                    G.corners[i] for b in positions for i in (b, b ^ (1 << s))
-                )
-            )
-        simplices.append(atoms)
-    if not simplices:
-        return SimplicialComplex.empty()
-    names = sorted({a for s in simplices for a in s}, key=lambda k: tuple(sorted(k)))
-    index = {k: i for i, k in enumerate(names)}
-    return SimplicialComplex.from_facets([index[a] for a in s] for s in simplices)
+    base = K.face(face_or_key.key if isinstance(face_or_key, Face) else face_or_key)
+    cofacets = sorted(
+        (G.key for G in K._star[base.corners[0]] if G.dim == base.dim + 1 and base.key < G.key),
+        key=sorted,
+    )
+    return K._link(base.key, lambda G: tuple([i for i, H in enumerate(cofacets) if H <= G.key]))
 
 
 def boundary_complex(C: Complex) -> Complex:

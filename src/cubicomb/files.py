@@ -151,8 +151,6 @@ def parses(text: str) -> GeneratedComplex:
             C = CubicalComplex.from_cells(cells) if cells else CubicalComplex.empty()
         else:
             C = SimplicialComplex.from_facets(cells) if cells else SimplicialComplex.empty()
-    except ValidationFailed:
-        raise
     except ComplexError as e:
         raise ValidationFailed(f"cells do not form a complex: {e}") from e
     if C.dim != dim:

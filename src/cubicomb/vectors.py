@@ -36,25 +36,32 @@ def _neg_pow(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class FVector:
-    """Face counts; simplicial entries start at f_{-1}, cubical at f_0."""
+class _Vector:
+    """A vector record: its convention tag, the dimension it refers to and
+    its entries, read as 0 beyond both ends.  Records of different classes
+    never compare equal."""
 
-    kind: str  # "simplicial" | "cubical"
+    kind: str
     dim: int
     entries: tuple[int, ...]
 
-    def f(self, i: int) -> int:
-        if self.kind == "cubical":
-            if i == -1:
-                return 1
-            pos = i
-        else:
-            pos = i + 1
+    def _entry(self, pos: int) -> int:
         return self.entries[pos] if 0 <= pos < len(self.entries) else 0
 
 
 @dataclass(frozen=True)
-class HVector:
+class FVector(_Vector):
+    """Face counts, kind "simplicial" with entries from f_{-1} or "cubical"
+    with entries from f_0."""
+
+    def f(self, i: int) -> int:
+        if self.kind == "cubical":
+            return 1 if i == -1 else self._entry(i)
+        return self._entry(i + 1)
+
+
+@dataclass(frozen=True)
+class HVector(_Vector):
     """h-vector with its convention tag and the dimension it refers to.
 
     simplicial: entries h_0 .. h_{dim+1} (dim may be an ambient dimension
@@ -62,24 +69,15 @@ class HVector:
     short_cubical: entries h_0 .. h_dim.  long_cubical: h_0 .. h_{dim+1}.
     """
 
-    kind: str  # "simplicial" | "short_cubical" | "long_cubical"
-    dim: int
-    entries: tuple[int, ...]
-
-    def h(self, i: int) -> int:
-        return self.entries[i] if 0 <= i < len(self.entries) else 0
+    h = _Vector._entry
 
 
 @dataclass(frozen=True)
-class GVector:
-    """Consecutive h-differences, g_0 = h_0."""
+class GVector(_Vector):
+    """Consecutive h-differences, g_0 = h_0; kind "simplicial", "cubical" or
+    "short_cubical"."""
 
-    kind: str  # "simplicial" | "cubical" | "short_cubical"
-    dim: int
-    entries: tuple[int, ...]
-
-    def g(self, i: int) -> int:
-        return self.entries[i] if 0 <= i < len(self.entries) else 0
+    g = _Vector._entry
 
 
 def f_vector(C: Complex) -> FVector:
@@ -95,6 +93,15 @@ def reduced_euler(x) -> int:
     return sum(_neg_pow(i) * f.f(i) for i in range(-1, f.dim + 1))
 
 
+def _h_transform(a: list[int]) -> tuple[int, ...]:
+    """Coefficients of sum_i a_i t^i (1-t)^{r-i} for r = len(a) - 1."""
+    r = len(a) - 1
+    return tuple(
+        sum(_neg_pow(j - i) * comb(r - i, j - i) * a[i] for i in range(j + 1))
+        for j in range(r + 1)
+    )
+
+
 def h_simplicial(f: FVector, rank: int | None = None) -> HVector:
     """Simplicial h-vector from sum_i f_{i-1} t^i (1-t)^{rank-i}.
 
@@ -108,11 +115,7 @@ def h_simplicial(f: FVector, rank: int | None = None) -> HVector:
         rank = f.dim + 1
     if rank < f.dim + 1:
         raise ValueError(f"rank {rank} is below the complex dimension {f.dim}")
-    entries = tuple(
-        sum(_neg_pow(j - i) * comb(rank - i, j - i) * f.f(i - 1) for i in range(j + 1))
-        for j in range(rank + 1)
-    )
-    return HVector("simplicial", rank - 1, entries)
+    return HVector("simplicial", rank - 1, _h_transform([f.f(i - 1) for i in range(rank + 1)]))
 
 
 def f_from_h_simplicial(h: HVector) -> FVector:
@@ -134,11 +137,7 @@ def h_short_cubical_from_f(f: FVector) -> HVector:
     d = f.dim
     if d < 0:
         raise ValueError("short cubical h-vector needs dimension >= 0")
-    entries = tuple(
-        sum(_neg_pow(j - i) * comb(d - i, j - i) * (1 << i) * f.f(i) for i in range(j + 1))
-        for j in range(d + 1)
-    )
-    return HVector("short_cubical", d, entries)
+    return HVector("short_cubical", d, _h_transform([(1 << i) * f.f(i) for i in range(d + 1)]))
 
 
 def h_short_cubical_from_links(K: CubicalComplex) -> HVector:

@@ -200,3 +200,12 @@ def reference_cubical_closure(cells):
                 maximal[b] = False
     kept = [faces[c.key] for c, keep in zip(distinct, maximal) if keep]
     return faces, sorted(kept, key=lambda f: (f[0], sorted(f[1])))
+
+
+def reference_cubical_link(faces, key):
+    """The faces of the link of the face ``key``, by brute force over the
+    face dict: the link's vertices are the cofacets of the face (the faces
+    with twice its vertices that contain it) in sorted-vertex order, and
+    every face G containing it maps to the cofacets G contains."""
+    cofacets = sorted((G for G in faces if key < G and len(G) == 2 * len(key)), key=sorted)
+    return {frozenset(i for i, H in enumerate(cofacets) if H <= G) for G in faces if key < G}

@@ -2,12 +2,15 @@
 
 Cubical inputs are random subsets of pile and torus cells with every cell's
 corners moved by a random symmetry of the cube and the vertices relabelled,
-plus near-misses; the builder must agree with the all-pairs validator of
+plus near-misses and a harmless pendant edge, which makes some valid inputs
+mixed-dimensional; the builder must agree with the all-pairs validator of
 ``oracles.reference_cubical_closure`` on the faces and cells it returns, or
 on the type and message of the error it raises.  The valid ones must also
-round-trip through a document and pass the unconditional h-vector
-identities.  Simplicial inputs check links, vertex coface counts and maximal
-facets against their definitions.
+round-trip through a document, pass the unconditional h-vector identities
+and have every face link equal to ``oracles.reference_cubical_link``.
+Simplicial inputs check links, vertex coface counts and maximal facets
+against their definitions.  Relabelling the vertices of either kind changes
+no face count and no report's name, status or checks.
 """
 
 from itertools import combinations, product
@@ -21,12 +24,14 @@ from cubicomb import (
     CubicalComplex,
     SimplicialComplex,
     build_simplicial,
+    link_face,
     parses,
+    run_suite,
     serializes,
     verify_h_vector_identities,
 )
 from families import simplicial_family
-from oracles import grid_vertex, reference_cubical_closure
+from oracles import grid_vertex, reference_cubical_closure, reference_cubical_link
 
 
 def grid_cells(sides, wrap):
@@ -68,7 +73,7 @@ def near_miss(draw, cells, fresh):
     i = draw(st.integers(0, len(cells) - 1))
     c = cells[i]
     full = len(c) - 1
-    kind = draw(st.sampled_from(["swap", "diagonal", "glued", "repeat", "contained"]))
+    kind = draw(st.sampled_from(["swap", "diagonal", "glued", "repeat", "contained", "pendant"]))
     if kind == "swap" and len(c) > 1:
         cells[i] = swap_two(draw, c)
     elif kind == "diagonal" and len(c) >= 4:
@@ -84,6 +89,8 @@ def near_miss(draw, cells, fresh):
         if draw(st.booleans()) and len(sub) > 1:
             sub = swap_two(draw, sub)
         cells.insert(draw(st.integers(0, len(cells))), sub)
+    elif kind == "pendant":
+        cells.insert(draw(st.integers(0, len(cells))), (c[0], fresh))
     return cells
 
 
@@ -145,6 +152,41 @@ def test_h_vector_identities_never_fail_on_valid_cubical_inputs(cells):
         assert verify_h_vector_identities(K).status != "fail"
 
 
+@given(cubical_inputs())
+def test_cubical_links_match_their_definition(cells):
+    K = valid_complex(cells)
+    if K is not None:
+        for key in K.faces:
+            assert set(link_face(K, key).faces) == reference_cubical_link(K.faces, key)
+
+
+def relabelling(data, vertices):
+    """A drawn injection of the vertices into the integers 0..999."""
+    n = len(vertices)
+    images = data.draw(st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True))
+    return dict(zip(vertices, images))
+
+
+def label_free(C):
+    """The face counts and, of every report, its name, status and checks:
+    what relabelling must not change (contexts and details name vertices)."""
+    reports = run_suite("all", C)
+    return C.f_counts(), [
+        (r.name, r.status, [(c.label, c.lhs, c.rhs) for c in r.checks]) for r in reports
+    ]
+
+
+@given(cubical_inputs(), st.data())
+def test_relabelling_valid_cubical_inputs_changes_no_count_or_report(cells, data):
+    K = valid_complex(cells)
+    if K is not None:
+        m = relabelling(data, K.vertices)
+        image = CubicalComplex.from_cells(
+            CubicalCell(c.dim, tuple(m[v] for v in c.corners)) for c in cells
+        )
+        assert label_free(image) == label_free(K)
+
+
 def brute_faces(facets):
     return {frozenset(s) for f in facets for r in range(1, len(f) + 1) for s in combinations(f, r)}
 
@@ -182,3 +224,10 @@ def test_simplicial_family_links_and_cells_match_definitions():
         S = gc.complex
         check_against_definitions(S, [c.key for c in S.cells])
         assert S == SimplicialComplex.from_facets(sorted(S.faces, key=len))
+
+
+@given(facet_lists, st.data())
+def test_relabelling_simplicial_facets_changes_no_count_or_report(facets, data):
+    S = build_simplicial(facets)
+    m = relabelling(data, S.vertices)
+    assert label_free(build_simplicial([[m[v] for v in f] for f in facets])) == label_free(S)
