@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Union
 
 from .vectors import (
@@ -95,14 +96,25 @@ class ValidationFailed(ComplexError):
     """A complex or its attached metadata failed a consistency check."""
 
 
-@lru_cache(maxsize=None)
-def _subface_tables(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Corner index tables for every subface of a k-cube, the cube included.
+Reader = Callable[[tuple[int, ...]], tuple[int, ...]]
 
-    Each entry is ``(dim, indices)``: reading a witness corner tuple through
-    ``indices`` yields the subface's witness corners in bit order.  A subface
-    is obtained by freeing a subset of coordinate positions and fixing the
-    rest to constant bits, so there are 3**k entries in total.
+
+def _reader(indices: tuple[int, ...]) -> Reader:
+    """The function taking a corner tuple to the tuple of its corners at
+    ``indices``; one index is read as a slice so that it gives a 1-tuple."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _subface_tables(k: int) -> tuple[tuple[int, Reader], ...]:
+    """Corner readers for every subface of a k-cube, the cube included.
+
+    Each entry is ``(dim, read)``: ``read`` takes a witness corner tuple to
+    the subface's witness corners in bit order.  A subface is obtained by
+    freeing a subset of coordinate positions and fixing the rest to constant
+    bits, so there are 3**k entries in total.
     """
     tables = []
     for j in range(k, -1, -1):
@@ -114,22 +126,92 @@ def _subface_tables(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
                     base + sum(1 << q for t, q in enumerate(free) if m >> t & 1)
                     for m in range(1 << j)
                 )
-                tables.append((j, indices))
+                tables.append((j, _reader(indices)))
     return tuple(tables)
 
 
 @lru_cache(maxsize=None)
-def _simplex_tables(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Corner index tables for every nonempty face of a k-simplex, largest
-    first, in the format of :func:`_subface_tables`: a face is a subset of
-    the k+1 sorted corners, so there are 2**(k+1) - 1 entries in total."""
+def _simplex_tables(k: int) -> tuple[tuple[int, Reader], ...]:
+    """Corner readers for every nonempty face of a k-simplex, largest first,
+    in the format of :func:`_subface_tables`: a face is a subset of the k+1
+    sorted corners, so there are 2**(k+1) - 1 entries in total."""
     return tuple(
-        (r - 1, idxs) for r in range(k + 1, 0, -1) for idxs in combinations(range(k + 1), r)
+        (r - 1, _reader(idxs))
+        for r in range(k + 1, 0, -1)
+        for idxs in combinations(range(k + 1), r)
     )
 
 
+def _split_inside(
+    at: dict[int, int], start: int, steps: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The table entries inside one entry, split by the parity of their
+    codimension: odd first, then even (the entry itself included).
+
+    ``start`` is the entry's code and each of ``steps`` holds the code
+    changes that drop one free unit of it; an entry inside is ``start`` with
+    at most one change from every step.  ``at`` maps codes to entries, and a
+    code it lacks (the empty simplex) is left out.
+    """
+    even, odd = [start], []
+    for deltas in steps:
+        even, odd = (
+            even + [c + d for c in odd for d in deltas],
+            odd + [c + d for c in even for d in deltas],
+        )
+    return tuple([at[c] for c in odd if c in at]), tuple([at[c] for c in even if c in at])
+
+
 @lru_cache(maxsize=None)
-def _facet_tables(table, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _cube_codes(k: int) -> tuple[dict[int, int], list[int], list[int]]:
+    """The entry of every code, and the code and free coordinates of every
+    entry of :func:`_subface_tables`.
+
+    An entry is coded in base 3, one digit per coordinate: its fixed bit, or
+    2 where the coordinate is free.
+    """
+    positions = tuple(range(1 << k))
+    spans = [read(positions) for _, read in _subface_tables(k)]
+    frees = [idxs[0] ^ idxs[-1] for idxs in spans]
+    ternary = [0]  # ternary[m]: the bits of m read as base-3 digits
+    for q in range(k):
+        ternary += [t + 3**q for t in ternary]
+    # idxs[-1] sets the fixed 1-bits and the free bits; adding the free
+    # bits once more makes their digits 2.
+    codes = [ternary[idxs[-1]] + ternary[free] for idxs, free in zip(spans, frees)]
+    return dict(zip(codes, range(len(codes)))), codes, frees
+
+
+@lru_cache(maxsize=None)
+def _cube_inside(k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries inside entry ``e`` of :func:`_subface_tables`, in the
+    format of :func:`_split_inside`: they keep its fixed digits and fix some
+    of its free coordinates to 0 or 1, 3**j of them for a j-face."""
+    at, codes, frees = _cube_codes(k)
+    steps = [(-2 * 3**q, -(3**q)) for q in range(k) if frees[e] >> q & 1]
+    return _split_inside(at, codes[e], steps)
+
+
+@lru_cache(maxsize=None)
+def _simplex_codes(k: int) -> tuple[dict[int, int], list[int], list[tuple[int, ...]]]:
+    """The entry of every code, and the code and corners of every entry of
+    :func:`_simplex_tables`; an entry is coded by the bit set of its corners."""
+    positions = tuple(range(k + 1))
+    subsets = [read(positions) for _, read in _simplex_tables(k)]
+    masks = [sum(1 << i for i in idxs) for idxs in subsets]
+    return dict(zip(masks, range(len(masks)))), masks, subsets
+
+
+@lru_cache(maxsize=None)
+def _simplex_inside(k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries inside entry ``e`` of :func:`_simplex_tables`, in the
+    format of :func:`_split_inside`: they drop some of its corners."""
+    at, masks, subsets = _simplex_codes(k)
+    return _split_inside(at, masks[e], [(-(1 << i),) for i in subsets[e]])
+
+
+@lru_cache(maxsize=None)
+def _facet_tables(table, k: int) -> tuple[tuple[int, Reader], ...]:
     """The codimension-one entries of a k-cell's subface ``table``."""
     return tuple(t for t in table(k) if t[0] == k - 1)
 
@@ -178,30 +260,26 @@ def _face_order(face: Face) -> tuple[int, tuple[int, ...]]:
     return (face.dim, tuple(sorted(face.key)))
 
 
-def _facet_key_set(corners: tuple[int, ...], dim: int) -> frozenset:
-    return frozenset(
-        frozenset(corners[i] for i in idxs) for _, idxs in _facet_tables(_subface_tables, dim)
-    )
-
-
 def _same_cube(prev: Face, sub: tuple[int, ...], dim: int) -> None:
-    """Refuse a second corner ordering that makes a different cube of a face."""
+    """Refuse a second corner ordering that makes a different cube of a face.
+
+    Read as positions ``q`` in the first ordering, the second makes the same
+    cube exactly when it is a symmetry of the cube: the steps
+    ``q[1 << t] ^ q[0]`` are distinct single bits and every ``q[b]`` is
+    ``q[0]`` moved by the steps of the bits set in ``b``.
+    """
     if dim < 2 or prev.corners == sub:
         return
-    if _facet_key_set(prev.corners, dim) != _facet_key_set(sub, dim):
+    at = dict(zip(prev.corners, range(len(sub))))
+    q = [at[v] for v in sub]
+    steps = [q[1 << t] ^ q[0] for t in range(dim)]
+    moved = [q[0]]
+    for step in steps:
+        moved += [x ^ step for x in moved]
+    if moved != q or sorted(steps) != [1 << t for t in range(dim)]:
         raise InconsistentSharedFace(
             f"cells induce different cube structures on the shared vertex set {_fmt_key(prev.key)}"
         )
-
-
-def _span(corners: tuple[int, ...], key: frozenset) -> tuple[list[int], int]:
-    """Positions of a cube's corners lying in ``key`` and the bits they vary
-    in; the corners form a subface exactly when they fill that subcube."""
-    positions = [b for b, c in enumerate(corners) if c in key]
-    varying = 0
-    for b in positions:
-        varying |= b ^ positions[0]
-    return positions, varying
 
 
 def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> list[bool]:
@@ -210,29 +288,38 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> 
 
     The pairs are found through a vertex -> cells index and visited by first
     cell, then ascending second cell, so the first error is the one an
-    all-pairs scan would meet.
+    all-pairs scan would meet.  Cells meeting in one vertex meet in a
+    subface of both.  Otherwise the intersection must be a face, and its
+    corner positions in each cell, read through the cell's position map,
+    must fill the subcube spanned by the bits in which they vary.
     """
     at: dict[int, list[int]] = {}
     for i, key in enumerate(keys):
         for v in key:
             at.setdefault(v, []).append(i)
+    positions = [dict(zip(c.corners, range(len(c.corners)))) for c in cells]
     maximal = [True] * len(cells)
     for a, ka in enumerate(keys):
         for b in sorted({b for v in ka for b in at[v] if b > a}):
             kb = keys[b]
             inter = ka & kb
-            if inter not in faces:
-                raise IntersectionNotAFace(
-                    f"cells {_fmt_key(ka)} and {_fmt_key(kb)} intersect in "
-                    f"{_fmt_key(inter)}, which is not a face"
-                )
-            for corners in (cells[a].corners, cells[b].corners):
-                positions, varying = _span(corners, inter)
-                if len(positions) != 1 << varying.bit_count():
-                    raise InconsistentSharedFace(
-                        f"intersection {_fmt_key(inter)} of cells {_fmt_key(ka)} and "
-                        f"{_fmt_key(kb)} is not a common subface"
+            if len(inter) > 1:
+                if inter not in faces:
+                    raise IntersectionNotAFace(
+                        f"cells {_fmt_key(ka)} and {_fmt_key(kb)} intersect in "
+                        f"{_fmt_key(inter)}, which is not a face"
                     )
+                for pos in (positions[a], positions[b]):
+                    union, common = 0, -1
+                    for v in inter:
+                        p = pos[v]
+                        union |= p
+                        common &= p
+                    if len(inter) != 1 << (union ^ common).bit_count():
+                        raise InconsistentSharedFace(
+                            f"intersection {_fmt_key(inter)} of cells {_fmt_key(ka)} and "
+                            f"{_fmt_key(kb)} is not a common subface"
+                        )
             if inter == ka:
                 maximal[a] = False
             elif inter == kb:
@@ -245,8 +332,9 @@ class _FaceTable:
     inclusion-maximal cells, and the views derived from them, the cached ones
     computed on first use.
 
-    A kind supplies ``_table``, the ``(dim, corner indices)`` subface table
-    of a cell, the cell itself first.
+    A kind supplies ``_table``, the ``(dim, corner reader)`` subface table
+    of a cell, the cell itself first, and ``_inside(dim, e)``, the entries
+    inside entry ``e`` of that table, each computed on first use.
     """
 
     def __init__(self, faces: dict[FaceKey, Face], cells: Iterable[Face]):
@@ -268,8 +356,13 @@ class _FaceTable:
         in an earlier cell and adds nothing; ``conflict(prev, corners, dim)``
         sees it, and every other subface met a second time.  With a parent
         table as ``source`` the faces are the parent's own objects.
+
+        A subface met a second time brings its own subfaces along, and once
+        it passes ``conflict`` its whole face lattice agrees too, so the
+        table entries inside it are skipped.  The table order is kept, and
+        with it the first error.
         """
-        table = cls._table
+        table, inside = cls._table, cls._inside
         faces: dict[FaceKey, Face] = {}
         new = []
         for dim, corners in cells:
@@ -279,15 +372,22 @@ class _FaceTable:
                 if conflict is not None:
                     conflict(prev, corners, dim)
                 continue
-            for j, idxs in table(dim):
-                sub = tuple([corners[i] for i in idxs])
+            known: set[int] = set()
+            for e, (j, read) in enumerate(table(dim)):
+                if e in known:
+                    continue
+                sub = read(corners)
                 key = frozenset(sub)
                 prev = faces.get(key)
                 if prev is None:
                     face = Face(key, j, sub) if source is None else source[key]
                     faces[face.key] = face
-                elif conflict is not None:
-                    conflict(prev, sub, j)
+                else:
+                    if conflict is not None:
+                        conflict(prev, sub, j)
+                    odd, even = inside(dim, e)
+                    known.update(odd)
+                    known.update(even)
             new.append(faces[own])
         return faces, new
 
@@ -366,19 +466,32 @@ class _FaceTable:
     def link_euler(self) -> dict[FaceKey, int]:
         """Reduced Euler characteristic of the link of every nonempty face.
 
-        Computed in one sweep: a face G of dimension g contributes a
-        (g - f - 1)-dimensional link face to each of its f-dimensional
-        subfaces, the empty link face included when G equals the subface.
+        A face G of dimension g contributes a (g - f - 1)-dimensional link
+        face to each of its f-dimensional subfaces, the empty link face
+        included when G equals the subface.  The sweep is numbered: the
+        faces are numbered in the order of ``faces``, every cell lists the
+        numbers of its subface table entries, and every face is swept once,
+        from the first cell that holds it, adding 1 to the entries inside it
+        at odd codimension and -1 to those at even codimension, itself
+        included.  The result is keyed like ``faces``, in the same order.
         """
-        acc = dict.fromkeys(self.faces, 0)
-        table = self._table
-        for face in self.faces.values():
-            gdim = face.dim
-            corners = face.corners
-            for j, idxs in table(gdim):
-                key = frozenset([corners[i] for i in idxs])
-                acc[key] += -1 if (gdim - j - 1) % 2 else 1
-        return acc
+        faces, inside = self.faces, self._inside
+        number = dict(zip(faces, range(len(faces))))
+        acc = [0] * len(faces)
+        swept = [False] * len(faces)
+        for cell in self.cells:
+            corners = cell.corners
+            ids = [number[frozenset(read(corners))] for _, read in self._table(cell.dim)]
+            for e, f in enumerate(ids):
+                if swept[f]:
+                    continue
+                swept[f] = True
+                odd, even = inside(cell.dim, e)
+                for s in odd:
+                    acc[ids[s]] += 1
+                for s in even:
+                    acc[ids[s]] -= 1
+        return dict(zip(faces, acc))
 
     @cached_property
     def pure(self) -> bool:
@@ -397,9 +510,9 @@ class _FaceTable:
         faces = self.faces
         for cell in self.cells:
             corners = cell.corners
-            for _, idxs in _facet_tables(self._table, cell.dim):
+            for _, read in _facet_tables(self._table, cell.dim):
                 # The face's own key object, so the kept table holds no copies.
-                key = faces[frozenset([corners[i] for i in idxs])].key
+                key = faces[frozenset(read(corners))].key
                 deg[key] = deg.get(key, 0) + 1
         return deg
 
@@ -442,6 +555,7 @@ class CubicalComplex(_FaceTable):
 
     kind = "cubical"
     _table = staticmethod(_subface_tables)
+    _inside = staticmethod(_cube_inside)
 
     @classmethod
     def from_cells(
@@ -515,6 +629,7 @@ class SimplicialComplex(_FaceTable):
 
     kind = "simplicial"
     _table = staticmethod(_simplex_tables)
+    _inside = staticmethod(_simplex_inside)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":

@@ -37,7 +37,11 @@ class MacaulayDecomposition:
 
 
 def macaulay_rep(value: int, position: int) -> MacaulayDecomposition:
-    """Greedy binomial decomposition of ``value`` at ``position``."""
+    """Greedy binomial decomposition of ``value`` at ``position``.
+
+    Each term takes the largest n with C(n, t) <= what is left, found by
+    doubling a step from n = t and then bisecting the last step.
+    """
     if value < 0:
         raise ValueError("value must be nonnegative")
     if position < 1:
@@ -46,9 +50,15 @@ def macaulay_rep(value: int, position: int) -> MacaulayDecomposition:
     remaining = value
     t = position
     while remaining > 0:
-        n = t
-        while comb(n + 1, t) <= remaining:
-            n += 1
+        n, step = t, 1
+        while comb(n + step, t) <= remaining:
+            n += step
+            step *= 2
+        # C(n, t) <= remaining < C(n + step, t)
+        while step > 1:
+            step //= 2
+            if comb(n + step, t) <= remaining:
+                n += step
         terms.append((n, t))
         remaining -= comb(n, t)
         t -= 1

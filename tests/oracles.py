@@ -5,7 +5,9 @@ h-vectors come from literal polynomial expansion, grid faces from direct
 interval enumeration, and poset properties from brute-force scans.
 """
 
+from functools import cache
 from itertools import combinations, product
+from math import comb
 
 
 def poly_mul(a, b):
@@ -123,10 +125,11 @@ def brute_least_upper_bounds(faces, u, v):
     return [k for k in containing if not any(o < k for o in containing)]
 
 
+@cache
 def _cube_subfaces(k):
     """(dim, corner positions) of every subface of a k-cube in the order the
     builder walks them: dimension descending, then free coordinates in
-    combination order, then the fixed bits counted up."""
+    combination order, then the fixed bits counted up.  Cached; read only."""
     out = []
     for j in range(k, -1, -1):
         for free in combinations(range(k), j):
@@ -141,6 +144,12 @@ def _cube_subfaces(k):
     return out
 
 
+def reference_facet_keys(corners, dim):
+    """The vertex sets of a cube's facets; two corner orderings of one vertex
+    set make the same cube exactly when these agree (dim >= 2)."""
+    return {frozenset(corners[i] for i in pos) for j, pos in _cube_subfaces(dim) if j == dim - 1}
+
+
 def reference_cubical_closure(cells):
     """The validated closure of CubicalCell values by scanning all cell pairs.
 
@@ -152,9 +161,6 @@ def reference_cubical_closure(cells):
 
     def fmt(key):
         return "{%s}" % ", ".join(str(v) for v in sorted(key))
-
-    def facet_keys(corners, dim):
-        return {frozenset(corners[i] for i in pos) for j, pos in _cube_subfaces(dim) if j == dim - 1}
 
     distinct, duplicates, seen = [], [], set()
     for cell in cells:
@@ -170,7 +176,7 @@ def reference_cubical_closure(cells):
             keys.add(key)
             if key not in faces:
                 faces[key] = (j, sub)
-            elif j >= 2 and faces[key][1] != sub and facet_keys(faces[key][1], j) != facet_keys(sub, j):
+            elif j >= 2 and reference_facet_keys(faces[key][1], j) != reference_facet_keys(sub, j):
                 raise InconsistentSharedFace(
                     f"cells induce different cube structures on the shared vertex set {fmt(key)}"
                 )
@@ -209,3 +215,27 @@ def reference_cubical_link(faces, key):
     every face G containing it maps to the cofacets G contains."""
     cofacets = sorted((G for G in faces if key < G and len(G) == 2 * len(key)), key=sorted)
     return {frozenset(i for i, H in enumerate(cofacets) if H <= G) for G in faces if key < G}
+
+
+def reference_link_euler(faces):
+    """The reduced Euler characteristic of the link of every face, by brute
+    force over the face dict: each proper coface G of F is a link face of
+    dimension dim G - dim F - 1, and the empty link face counts -1."""
+    return {
+        key: sum((-1) ** (G.dim - F.dim - 1) for G in faces.values() if key < G.key) - 1
+        for key, F in faces.items()
+    }
+
+
+def reference_macaulay_terms(value, position):
+    """The greedy binomial decomposition by linear search: at each position t
+    take the largest n with C(n, t) <= what is left."""
+    terms, remaining, t = [], value, position
+    while remaining > 0:
+        n = t
+        while comb(n + 1, t) <= remaining:
+            n += 1
+        terms.append((n, t))
+        remaining -= comb(n, t)
+        t -= 1
+    return tuple(terms)

@@ -9,12 +9,17 @@ on the type and message of the error it raises.  The valid ones must also
 round-trip through a document, pass the unconditional h-vector identities
 and have every face link equal to ``oracles.reference_cubical_link``.
 Simplicial inputs check links, vertex coface counts and maximal facets
-against their definitions.  Relabelling the vertices of either kind changes
-no face count and no report's name, status or checks.
+against their definitions.  On both kinds the link Euler characteristics
+must equal ``oracles.reference_link_euler``, and the arithmetic same-cube
+test must accept exactly the corner orderings with the same facets.
+Relabelling the vertices of either kind changes no face count and no
+report's name, status or checks.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import factorial
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +27,8 @@ from cubicomb import (
     ComplexError,
     CubicalCell,
     CubicalComplex,
+    Face,
+    InconsistentSharedFace,
     SimplicialComplex,
     build_simplicial,
     link_face,
@@ -30,8 +37,15 @@ from cubicomb import (
     serializes,
     verify_h_vector_identities,
 )
+from cubicomb.complexes import _same_cube
 from families import simplicial_family
-from oracles import grid_vertex, reference_cubical_closure, reference_cubical_link
+from oracles import (
+    grid_vertex,
+    reference_cubical_closure,
+    reference_cubical_link,
+    reference_facet_keys,
+    reference_link_euler,
+)
 
 
 def grid_cells(sides, wrap):
@@ -160,6 +174,47 @@ def test_cubical_links_match_their_definition(cells):
             assert set(link_face(K, key).faces) == reference_cubical_link(K.faces, key)
 
 
+@given(cubical_inputs())
+def test_cubical_link_euler_matches_its_definition(cells):
+    K = valid_complex(cells)
+    if K is not None:
+        assert K.link_euler == reference_link_euler(K.faces)
+        assert list(K.link_euler) == list(K.faces)
+
+
+def same_cube(corners, witness):
+    dim = len(corners).bit_length() - 1
+    try:
+        _same_cube(Face(frozenset(corners), dim, corners), witness, dim)
+    except InconsistentSharedFace:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_same_cube_accepts_exactly_the_orderings_with_the_same_facets(k):
+    corners = tuple(range(10, 10 + (1 << k)))
+    facets = reference_facet_keys(corners, k)
+    accepted = 0
+    for witness in permutations(corners):
+        expect = reference_facet_keys(witness, k) == facets
+        assert same_cube(corners, witness) == expect, witness
+        accepted += expect
+    assert accepted == (1 << k) * factorial(k)  # the symmetries of the k-cube
+
+
+@given(cube_symmetry(4), st.data())
+def test_same_cube_on_four_cubes_matches_the_facet_sets(sym, data):
+    corners = tuple(range(20, 36))
+    witness = tuple(corners[b] for b in sym)
+    if data.draw(st.booleans()):
+        witness = swap_two(data.draw, witness)
+    if data.draw(st.booleans()):
+        witness = tuple(data.draw(st.permutations(corners)))
+    expect = reference_facet_keys(witness, 4) == reference_facet_keys(corners, 4)
+    assert same_cube(corners, witness) == expect
+
+
 def relabelling(data, vertices):
     """A drawn injection of the vertices into the integers 0..999."""
     n = len(vertices)
@@ -224,6 +279,13 @@ def test_simplicial_family_links_and_cells_match_definitions():
         S = gc.complex
         check_against_definitions(S, [c.key for c in S.cells])
         assert S == SimplicialComplex.from_facets(sorted(S.faces, key=len))
+
+
+@given(facet_lists)
+def test_simplicial_link_euler_matches_its_definition(facets):
+    S = build_simplicial(facets)
+    assert S.link_euler == reference_link_euler(S.faces)
+    assert list(S.link_euler) == list(S.faces)
 
 
 @given(facet_lists, st.data())

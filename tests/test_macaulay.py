@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubicomb import (
     HVector,
@@ -15,6 +17,7 @@ from cubicomb import (
     pseudopower,
     simplex_boundary,
 )
+from oracles import reference_macaulay_terms
 
 
 def test_macaulay_rep_small_cases():
@@ -43,6 +46,23 @@ def test_macaulay_rep_structure_sweep():
             if rep.terms:
                 n0, t0 = rep.terms[0]
                 assert comb(n0 + 1, t0) > value
+
+
+@st.composite
+def scannable(draw):
+    """A position 1..12 and a value up to 10^15 whose linear search takes at
+    most 2,000 steps per term (every term's n is below the first one's),
+    drawn as often near the cap as near 0."""
+    position = draw(st.integers(1, 12))
+    cap = min(10**15, comb(position + 2000, position))
+    offset = draw(st.integers(0, cap))
+    return (cap - offset if draw(st.booleans()) else offset), position
+
+
+@given(scannable())
+def test_macaulay_rep_matches_the_linear_search(case):
+    value, position = case
+    assert macaulay_rep(value, position).terms == reference_macaulay_terms(value, position)
 
 
 def test_macaulay_rep_rejects_bad_input():
