@@ -107,6 +107,15 @@ def _reader(indices: tuple[int, ...]) -> Reader:
     return itemgetter(*indices)
 
 
+def _bit_sums(coords: Iterable[int]) -> list[int]:
+    """Every sum of a subset of the bits at ``coords``, the subset read as a
+    binary number whose digit t stands for the t-th coordinate."""
+    sums = [0]
+    for q in coords:
+        sums += [s + (1 << q) for s in sums]
+    return sums
+
+
 @lru_cache(maxsize=None)
 def _subface_tables(k: int) -> tuple[tuple[int, Reader], ...]:
     """Corner readers for every subface of a k-cube, the cube included.
@@ -120,13 +129,8 @@ def _subface_tables(k: int) -> tuple[tuple[int, Reader], ...]:
     for j in range(k, -1, -1):
         for free in combinations(range(k), j):
             fixed = [q for q in range(k) if q not in free]
-            for bits in range(1 << len(fixed)):
-                base = sum(1 << q for t, q in enumerate(fixed) if bits >> t & 1)
-                indices = tuple(
-                    base + sum(1 << q for t, q in enumerate(free) if m >> t & 1)
-                    for m in range(1 << j)
-                )
-                tables.append((j, _reader(indices)))
+            offsets = _bit_sums(free)
+            tables += [(j, _reader(tuple(base + m for m in offsets))) for base in _bit_sums(fixed)]
     return tuple(tables)
 
 
@@ -142,72 +146,29 @@ def _simplex_tables(k: int) -> tuple[tuple[int, Reader], ...]:
     )
 
 
-def _split_inside(
-    at: dict[int, int], start: int, steps: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The table entries inside one entry, split by the parity of their
-    codimension: odd first, then even (the entry itself included).
-
-    ``start`` is the entry's code and each of ``steps`` holds the code
-    changes that drop one free unit of it; an entry inside is ``start`` with
-    at most one change from every step.  ``at`` maps codes to entries, and a
-    code it lacks (the empty simplex) is left out.
-    """
-    even, odd = [start], []
-    for deltas in steps:
-        even, odd = (
-            even + [c + d for c in odd for d in deltas],
-            odd + [c + d for c in even for d in deltas],
-        )
-    return tuple([at[c] for c in odd if c in at]), tuple([at[c] for c in even if c in at])
+@lru_cache(maxsize=None)
+def _entry_at(table, k: int) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
+    """The corner positions of every entry of a k-cell's subface ``table``,
+    and the entry at each.  Every reader lists positions in ascending order,
+    so a subface read through any table gives the same tuple."""
+    positions = tuple(range(1 << k))  # covers the corners of a k-cube and a k-simplex
+    spans = [read(positions) for _, read in table(k)]
+    return dict(zip(spans, range(len(spans)))), spans
 
 
 @lru_cache(maxsize=None)
-def _cube_codes(k: int) -> tuple[dict[int, int], list[int], list[int]]:
-    """The entry of every code, and the code and free coordinates of every
-    entry of :func:`_subface_tables`.
-
-    An entry is coded in base 3, one digit per coordinate: its fixed bit, or
-    2 where the coordinate is free.
-    """
-    positions = tuple(range(1 << k))
-    spans = [read(positions) for _, read in _subface_tables(k)]
-    frees = [idxs[0] ^ idxs[-1] for idxs in spans]
-    ternary = [0]  # ternary[m]: the bits of m read as base-3 digits
-    for q in range(k):
-        ternary += [t + 3**q for t in ternary]
-    # idxs[-1] sets the fixed 1-bits and the free bits; adding the free
-    # bits once more makes their digits 2.
-    codes = [ternary[idxs[-1]] + ternary[free] for idxs, free in zip(spans, frees)]
-    return dict(zip(codes, range(len(codes)))), codes, frees
-
-
-@lru_cache(maxsize=None)
-def _cube_inside(k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The entries inside entry ``e`` of :func:`_subface_tables`, in the
-    format of :func:`_split_inside`: they keep its fixed digits and fix some
-    of its free coordinates to 0 or 1, 3**j of them for a j-face."""
-    at, codes, frees = _cube_codes(k)
-    steps = [(-2 * 3**q, -(3**q)) for q in range(k) if frees[e] >> q & 1]
-    return _split_inside(at, codes[e], steps)
-
-
-@lru_cache(maxsize=None)
-def _simplex_codes(k: int) -> tuple[dict[int, int], list[int], list[tuple[int, ...]]]:
-    """The entry of every code, and the code and corners of every entry of
-    :func:`_simplex_tables`; an entry is coded by the bit set of its corners."""
-    positions = tuple(range(k + 1))
-    subsets = [read(positions) for _, read in _simplex_tables(k)]
-    masks = [sum(1 << i for i in idxs) for idxs in subsets]
-    return dict(zip(masks, range(len(masks)))), masks, subsets
-
-
-@lru_cache(maxsize=None)
-def _simplex_inside(k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The entries inside entry ``e`` of :func:`_simplex_tables`, in the
-    format of :func:`_split_inside`: they drop some of its corners."""
-    at, masks, subsets = _simplex_codes(k)
-    return _split_inside(at, masks[e], [(-(1 << i),) for i in subsets[e]])
+def _inside(table, k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries of a k-cell's subface ``table`` inside entry ``e``, split
+    by the parity of their codimension in it: odd first, then even, ``e``
+    itself included.  They are the entries of the table of ``e``'s own
+    dimension read through ``e``'s corner positions."""
+    at, spans = _entry_at(table, k)
+    j, pos = table(k)[e][0], spans[e]
+    odd: list[int] = []
+    even: list[int] = []
+    for i, read in table(j):
+        (odd if (j - i) % 2 else even).append(at[read(pos)])
+    return tuple(odd), tuple(even)
 
 
 @lru_cache(maxsize=None)
@@ -333,8 +294,7 @@ class _FaceTable:
     computed on first use.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table
-    of a cell, the cell itself first, and ``_inside(dim, e)``, the entries
-    inside entry ``e`` of that table, each computed on first use.
+    of a cell, the cell itself first.
     """
 
     def __init__(self, faces: dict[FaceKey, Face], cells: Iterable[Face]):
@@ -362,7 +322,7 @@ class _FaceTable:
         table entries inside it are skipped.  The table order is kept, and
         with it the first error.
         """
-        table, inside = cls._table, cls._inside
+        table = cls._table
         faces: dict[FaceKey, Face] = {}
         new = []
         for dim, corners in cells:
@@ -385,7 +345,7 @@ class _FaceTable:
                 else:
                     if conflict is not None:
                         conflict(prev, sub, j)
-                    odd, even = inside(dim, e)
+                    odd, even = _inside(table, dim, e)
                     known.update(odd)
                     known.update(even)
             new.append(faces[own])
@@ -475,18 +435,18 @@ class _FaceTable:
         at odd codimension and -1 to those at even codimension, itself
         included.  The result is keyed like ``faces``, in the same order.
         """
-        faces, inside = self.faces, self._inside
+        faces, table = self.faces, self._table
         number = dict(zip(faces, range(len(faces))))
         acc = [0] * len(faces)
         swept = [False] * len(faces)
         for cell in self.cells:
             corners = cell.corners
-            ids = [number[frozenset(read(corners))] for _, read in self._table(cell.dim)]
+            ids = [number[frozenset(read(corners))] for _, read in table(cell.dim)]
             for e, f in enumerate(ids):
                 if swept[f]:
                     continue
                 swept[f] = True
-                odd, even = inside(cell.dim, e)
+                odd, even = _inside(table, cell.dim, e)
                 for s in odd:
                     acc[ids[s]] += 1
                 for s in even:
@@ -555,7 +515,6 @@ class CubicalComplex(_FaceTable):
 
     kind = "cubical"
     _table = staticmethod(_subface_tables)
-    _inside = staticmethod(_cube_inside)
 
     @classmethod
     def from_cells(
@@ -629,7 +588,6 @@ class SimplicialComplex(_FaceTable):
 
     kind = "simplicial"
     _table = staticmethod(_simplex_tables)
-    _inside = staticmethod(_simplex_inside)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":

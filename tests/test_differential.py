@@ -10,7 +10,8 @@ round-trip through a document, pass the unconditional h-vector identities
 and have every face link equal to ``oracles.reference_cubical_link``.
 Simplicial inputs check links, vertex coface counts and maximal facets
 against their definitions.  On both kinds the link Euler characteristics
-must equal ``oracles.reference_link_euler``, and the arithmetic same-cube
+must equal ``oracles.reference_link_euler``, the table entries inside each
+entry must be the ones a subset scan finds, and the arithmetic same-cube
 test must accept exactly the corner orderings with the same facets.
 Relabelling the vertices of either kind changes no face count and no
 report's name, status or checks.
@@ -37,7 +38,7 @@ from cubicomb import (
     serializes,
     verify_h_vector_identities,
 )
-from cubicomb.complexes import _same_cube
+from cubicomb.complexes import _inside, _same_cube, _simplex_tables, _subface_tables
 from families import simplicial_family
 from oracles import (
     grid_vertex,
@@ -180,6 +181,19 @@ def test_cubical_link_euler_matches_its_definition(cells):
     if K is not None:
         assert K.link_euler == reference_link_euler(K.faces)
         assert list(K.link_euler) == list(K.faces)
+
+
+@pytest.mark.parametrize("table", [_subface_tables, _simplex_tables])
+@pytest.mark.parametrize("k", range(6))
+def test_entries_inside_an_entry_match_a_subset_scan(table, k):
+    positions = tuple(range(1 << k))  # covers the corners of a k-cube and a k-simplex
+    entries = [(j, set(read(positions))) for j, read in table(k)]
+    for e, (j, span) in enumerate(entries):
+        odd, even = [], []
+        for s, (i, sub) in enumerate(entries):
+            if sub <= span:
+                (odd if (j - i) % 2 else even).append(s)
+        assert tuple(map(sorted, _inside(table, k, e))) == (odd, even)
 
 
 def same_cube(corners, witness):

@@ -2,22 +2,21 @@
 
 Usage, from anywhere:
 
-    python tools/paired.py BASE CHANGE -n 10 -- python3 bench/run.py \
+    python tools/paired.py BASE CHANGE -- python3 bench/run.py \
         --workload torus-validate --seed 91 --seconds 20
-    python tools/paired.py BASE CHANGE -n 3 --metric wall_s -- \
-        env PYTHONPATH=src python -m pytest -q
+    python tools/paired.py BASE CHANGE -- env PYTHONPATH=src python -m pytest -q
 
 The command runs with each tree root as its working directory, N times per
-tree.  Pair i runs BASE first when i is even and CHANGE first when it is
-odd, so a drift in the host's speed falls on both sides alike.
+tree (``-n``, default 10).  Pair i runs BASE first when i is even and
+CHANGE first when it is odd, so a drift in the host's speed falls on both
+sides alike.
 
-Each run yields the metrics named by ``--metric`` (default: every metric
-the command reports).  ``wall_s`` is the run's wall time; any other name is
-read from the last line of the command's standard output, a JSON object
-with ``metrics: {name: {"value": ...}}`` as ``bench/run.py`` prints it.
-Whether higher is better comes from the ``end_to_end`` and ``per_layer``
-lists of ``BENCHMARK.json`` in CHANGE; anything else, ``wall_s`` included,
-is better lower.
+Each run yields its wall time as ``wall_s`` and, when the last line of the
+command's standard output is a JSON object with ``metrics: {name: {"value":
+...}}`` as ``bench/run.py`` prints it, every metric named there.  Every
+metric that both sides report is compared.  Whether higher is better comes
+from the ``end_to_end`` and ``per_layer`` lists of ``BENCHMARK.json`` in
+CHANGE; anything else, ``wall_s`` included, is better lower.
 
 For each metric and side it prints the median and the quartiles, then the
 pairs CHANGE won and the median of the per-pair ratio CHANGE / BASE.  The
@@ -74,12 +73,11 @@ def spread(values: list[float]) -> dict[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
-        usage="%(prog)s BASE CHANGE [-n N] [--metric NAME] -- COMMAND...",
+        usage="%(prog)s BASE CHANGE [-n N] -- COMMAND...",
     )
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("-n", type=int, default=5, help="pairs to run (default 5)")
-    parser.add_argument("--metric", action="append", help="a metric to compare (repeatable)")
+    parser.add_argument("-n", type=int, default=10, help="pairs to run (default 10)")
     argv = sys.argv[1:] if argv is None else argv
     cut = argv.index("--") if "--" in argv else len(argv)
     args, command = parser.parse_args(argv[:cut]), argv[cut + 1 :]
@@ -93,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run(sides[side], command))
             print(f"# pair {i + 1} {side}: " + json.dumps(runs[side][-1]), flush=True)
 
-    names = args.metric or [m for m in runs["change"][0] if m in runs["base"][0]]
+    names = [m for m in runs["change"][0] if m in runs["base"][0]]
     higher = higher_is_better(sides["change"])
     summary = {}
     for name in names:
