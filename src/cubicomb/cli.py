@@ -38,7 +38,12 @@ def _ints(params: list[str], count: int | None, family: str) -> list[int]:
         raise ValueError(f"{family} takes {count} integer parameter(s), got {len(params)}")
     if count is None and not params:
         raise ValueError(f"{family} takes at least one integer parameter")
-    return [int(p) for p in params]
+    values = [int(p) for p in params]
+    for value in values:
+        # Past this no size or count fits a machine index.
+        if value > sys.maxsize:
+            raise ValueError(f"{family} parameter {value} is too large (at most {sys.maxsize})")
+    return values
 
 
 def _gen_prism(params: list[str], args) -> object:

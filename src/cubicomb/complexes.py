@@ -247,44 +247,58 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> 
     """Check every two cells that share a vertex, in input order, and flag
     the cells that lie inside another.
 
-    The pairs are found through a vertex -> cells index and visited by first
-    cell, then ascending second cell, so the first error is the one an
-    all-pairs scan would meet.  Cells meeting in one vertex meet in a
-    subface of both.  Otherwise the intersection must be a face, and its
-    corner positions in each cell, read through the cell's position map,
-    must fill the subcube spanned by the bits in which they vary.
+    A vertex -> (cell, corner position) index gives, for cell a and every
+    later cell b sharing a vertex with it, the number n of shared vertices
+    and the OR and AND of their positions in a and in b.  The shared
+    vertices fill a subcube of a cell exactly when n is 2 to the number of
+    bits in which their positions vary; when they do in both cells, the
+    intersection is a subface of a, hence a face, and the pair is valid.
+    A failing pair is refused in the order of an all-pairs scan: first
+    cell, then ascending second cell.
     """
-    at: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
-        for v in key:
-            at.setdefault(v, []).append(i)
-    positions = [dict(zip(c.corners, range(len(c.corners)))) for c in cells]
+    at: dict[int, list[tuple[int, int]]] = {}
+    for b in range(len(cells) - 1, -1, -1):
+        for q, v in enumerate(cells[b].corners):
+            at.setdefault(v, []).append((b, q))
     maximal = [True] * len(cells)
-    for a, ka in enumerate(keys):
-        for b in sorted({b for v in ka for b in at[v] if b > a}):
-            kb = keys[b]
-            inter = ka & kb
-            if len(inter) > 1:
-                if inter not in faces:
-                    raise IntersectionNotAFace(
-                        f"cells {_fmt_key(ka)} and {_fmt_key(kb)} intersect in "
-                        f"{_fmt_key(inter)}, which is not a face"
-                    )
-                for pos in (positions[a], positions[b]):
-                    union, common = 0, -1
-                    for v in inter:
-                        p = pos[v]
-                        union |= p
-                        common &= p
-                    if len(inter) != 1 << (union ^ common).bit_count():
-                        raise InconsistentSharedFace(
-                            f"intersection {_fmt_key(inter)} of cells {_fmt_key(ka)} and "
-                            f"{_fmt_key(kb)} is not a common subface"
-                        )
-            if inter == ka:
+    for a, cell in enumerate(cells):
+        # Each vertex list runs by descending cell, so a's own entry is last
+        # and everything before it belongs to a later cell.
+        shared: dict[int, list[int]] = {}
+        for p, v in enumerate(cell.corners):
+            later = at[v]
+            later.pop()
+            for b, q in later:
+                acc = shared.get(b)
+                if acc is None:
+                    shared[b] = [1, p, p, q, q]
+                else:
+                    acc[0] += 1
+                    acc[1] |= p
+                    acc[2] &= p
+                    acc[3] |= q
+                    acc[4] &= q
+        bad = []
+        size = len(cell.corners)
+        for b, (n, or_a, and_a, or_b, and_b) in shared.items():
+            if n != 1 << (or_a ^ and_a).bit_count() or n != 1 << (or_b ^ and_b).bit_count():
+                bad.append(b)
+            elif n == size:
                 maximal[a] = False
-            elif inter == kb:
+            elif n == len(cells[b].corners):
                 maximal[b] = False
+        if bad:
+            ka, kb = keys[a], keys[min(bad)]
+            inter = ka & kb
+            if inter not in faces:
+                raise IntersectionNotAFace(
+                    f"cells {_fmt_key(ka)} and {_fmt_key(kb)} intersect in "
+                    f"{_fmt_key(inter)}, which is not a face"
+                )
+            raise InconsistentSharedFace(
+                f"intersection {_fmt_key(inter)} of cells {_fmt_key(ka)} and "
+                f"{_fmt_key(kb)} is not a common subface"
+            )
     return maximal
 
 
@@ -568,19 +582,23 @@ class CubicalComplex(_FaceTable):
     def link_h_vectors(self) -> dict[int, HVector]:
         """Simplicial h-vector of every vertex link, taken at ambient rank d.
 
-        Link face counts are read off the vertex coface counts; the common
-        rank keeps the vectors comparable on non-pure complexes.
+        Link face counts are read off the vertex coface counts, and vertices
+        with equal counts share one vector; the common rank keeps the vectors
+        comparable on non-pure complexes.
         """
-        d = self.dim
-        return {
-            v: h_simplicial(FVector("simplicial", d - 1, (1,) + counts[1:]), rank=d)
-            for v, counts in self.vertex_coface_counts.items()
+        d, counts = self.dim, self.vertex_coface_counts
+        by_counts = {
+            c: h_simplicial(FVector("simplicial", d - 1, (1,) + c[1:]), rank=d)
+            for c in set(counts.values())
         }
+        return {v: by_counts[c] for v, c in counts.items()}
 
     @cached_property
     def link_g_vectors(self) -> dict[int, GVector]:
-        """g-vector of every vertex link, entries g_0 .. g_d."""
-        return {v: g_vector(h, upto=self.dim) for v, h in self.link_h_vectors.items()}
+        """g-vector of every vertex link, entries g_0 .. g_d, one per
+        distinct link h-vector."""
+        by_h = {h: g_vector(h, upto=self.dim) for h in set(self.link_h_vectors.values())}
+        return {v: by_h[h] for v, h in self.link_h_vectors.items()}
 
 
 class SimplicialComplex(_FaceTable):

@@ -1,5 +1,7 @@
 """Core complex construction, validation, links and boundaries."""
 
+from itertools import permutations
+
 import pytest
 
 from cubicomb import (
@@ -26,7 +28,7 @@ from cubicomb import (
     solid_cube,
 )
 from families import cubical_family
-from oracles import brute_least_upper_bounds, brute_pairwise_closed
+from oracles import brute_least_upper_bounds, brute_pairwise_closed, reference_cubical_closure
 
 SQUARE = CubicalCell(2, (0, 1, 2, 3))
 
@@ -71,6 +73,62 @@ def test_diagonal_overlap_is_rejected():
     other = CubicalCell(2, (0, 4, 5, 3))
     with pytest.raises(IntersectionNotAFace):
         build_cubical([SQUARE, other])
+
+
+def closure_or_error(build):
+    """What a build gives, faces and maximal cells as ``(dim, corners)``, or
+    the type and message of the error it raises."""
+    try:
+        out = build()
+    except (IntersectionNotAFace, InconsistentSharedFace) as e:
+        return type(e), str(e)
+    if isinstance(out, CubicalComplex):
+        faces = {key: (f.dim, f.corners) for key, f in out.faces.items()}
+        return faces, [(c.dim, c.corners) for c in out.cells]
+    return out
+
+
+@pytest.mark.parametrize(
+    "cells, error, message",
+    [
+        # {0, 3} is a diagonal of both squares
+        (
+            [SQUARE, CubicalCell(2, (0, 4, 5, 3))],
+            IntersectionNotAFace,
+            "cells {0, 1, 2, 3} and {0, 3, 4, 5} intersect in {0, 3}, which is not a face",
+        ),
+        # {0, 1} is a diagonal of the first square and an edge of the second
+        (
+            [CubicalCell(2, (0, 4, 5, 1)), SQUARE],
+            InconsistentSharedFace,
+            "intersection {0, 1} of cells {0, 1, 4, 5} and {0, 1, 2, 3} is not a common subface",
+        ),
+        # {0, 1} is an edge of the first square and a diagonal of the second
+        (
+            [SQUARE, CubicalCell(2, (0, 4, 5, 1))],
+            InconsistentSharedFace,
+            "intersection {0, 1} of cells {0, 1, 2, 3} and {0, 1, 4, 5} is not a common subface",
+        ),
+        # both later squares fail with the first; the earlier one is named
+        (
+            [SQUARE, CubicalCell(2, (0, 4, 5, 3)), CubicalCell(2, (0, 6, 7, 1))],
+            IntersectionNotAFace,
+            "cells {0, 1, 2, 3} and {0, 3, 4, 5} intersect in {0, 3}, which is not a face",
+        ),
+    ],
+)
+def test_cell_pair_errors_name_the_first_failing_pair(cells, error, message):
+    assert closure_or_error(lambda: build_cubical(cells)) == (error, message)
+    assert closure_or_error(lambda: reference_cubical_closure(cells)) == (error, message)
+
+
+def test_contained_cells_are_dropped_before_and_after_their_container():
+    # the point lies in both edges and the square, the edge {1, 3} in the square
+    cells = [CubicalCell(0, (3,)), CubicalCell(1, (1, 3)), SQUARE, CubicalCell(1, (3, 4))]
+    for order in permutations(cells):
+        built = closure_or_error(lambda: build_cubical(order))
+        assert built == closure_or_error(lambda: reference_cubical_closure(order))
+        assert built[1] == [(1, (3, 4)), (2, (0, 1, 2, 3))]
 
 
 def test_same_vertex_set_different_structure_is_rejected():

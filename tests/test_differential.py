@@ -6,13 +6,15 @@ plus near-misses and a harmless pendant edge, which makes some valid inputs
 mixed-dimensional; the builder must agree with the all-pairs validator of
 ``oracles.reference_cubical_closure`` on the faces and cells it returns, or
 on the type and message of the error it raises.  The valid ones must also
-round-trip through a document, pass the unconditional h-vector identities
-and have every face link equal to ``oracles.reference_cubical_link``.
-Simplicial inputs check links, vertex coface counts and maximal facets
-against their definitions.  On both kinds the link Euler characteristics
-must equal ``oracles.reference_link_euler``, the table entries inside each
-entry must be the ones a subset scan finds, and the arithmetic same-cube
-test must accept exactly the corner orderings with the same facets.
+round-trip through a document, pass the unconditional h-vector identities,
+have every face link equal to ``oracles.reference_cubical_link`` and every
+vertex link's h- and g-vector equal to the transforms of that link's face
+counts.  Simplicial inputs check links, vertex coface counts and maximal
+facets against their definitions.  On both kinds the link Euler
+characteristics must equal ``oracles.reference_link_euler``, the table
+entries inside each entry must be the ones a subset scan finds, and the
+arithmetic same-cube test must accept exactly the corner orderings with
+the same facets.
 Relabelling the vertices of either kind changes no face count and no
 report's name, status or checks.
 """
@@ -32,7 +34,11 @@ from cubicomb import (
     InconsistentSharedFace,
     SimplicialComplex,
     build_simplicial,
+    f_vector,
+    g_vector,
+    h_simplicial,
     link_face,
+    link_of_vertex,
     parses,
     run_suite,
     serializes,
@@ -181,6 +187,16 @@ def test_cubical_link_euler_matches_its_definition(cells):
     if K is not None:
         assert K.link_euler == reference_link_euler(K.faces)
         assert list(K.link_euler) == list(K.faces)
+
+
+@given(cubical_inputs())
+def test_cubical_link_vectors_match_their_definition(cells):
+    K = valid_complex(cells)
+    if K is not None:
+        for v in K.vertices:
+            h = h_simplicial(f_vector(link_of_vertex(K, v)), rank=K.dim)
+            assert K.link_h_vectors[v] == h
+            assert K.link_g_vectors[v] == g_vector(h, upto=K.dim)
 
 
 @pytest.mark.parametrize("table", [_subface_tables, _simplex_tables])

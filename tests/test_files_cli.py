@@ -1,9 +1,14 @@
 """Document round-trips, parser errors, and the command line contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubicomb
 from cubicomb import (
     CubicalComplex,
     GeneratedComplex,
@@ -235,6 +240,25 @@ def test_cli_gen_errors(tmp_path):
     assert entry(["gen", "pile", "two", "-o", out]) == 2
     assert entry(["gen", "simplex", "3", "4", "-o", out]) == 2
     assert entry(["gen", "prism", str(tmp_path / "missing.json"), "-o", out]) == 2
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("torus", ["99999999999999999999", "3"]), ("solid-cube", ["99999999999999999999"])],
+)
+def test_cli_gen_refuses_a_parameter_past_the_index_range(tmp_path, family, params):
+    out = tmp_path / "x.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicomb.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "cubicomb.cli", "gen", family, *params, "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: {family} parameter 99999999999999999999 is too large (at most {sys.maxsize})\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_compute_human_output(tmp_path, capsys):

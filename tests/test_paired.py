@@ -1,0 +1,77 @@
+"""``tools/paired.py`` on two stub trees: run order, spreads, wins and exit codes.
+
+The command is a stub that logs which tree ran it and prints the next
+entry of its tree's ``values.json`` as a ``bench/run.py`` metrics line.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRED = Path(__file__).parent.parent / "tools" / "paired.py"
+
+STUB = """
+import json, sys
+from pathlib import Path
+
+here = Path.cwd()
+count = int((here / "count").read_text()) if (here / "count").exists() else 0
+(here / "count").write_text(str(count + 1))
+with open(sys.argv[1], "a") as log:
+    log.write(here.name + "\\n")
+run = json.loads((here / "values.json").read_text())[count]
+print("a line that is not JSON")
+print(json.dumps({"metrics": {name: {"value": v} for name, v in run["metrics"].items()}}))
+sys.exit(run.get("exit", 0))
+"""
+
+
+def trees(tmp_path, base_runs, change_runs):
+    for name, runs in (("base", base_runs), ("change", change_runs)):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "values.json").write_text(json.dumps(runs))
+    spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}], "per_layer": []}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    (tmp_path / "stub.py").write_text(STUB)
+
+
+def paired(tmp_path, n):
+    command = [sys.executable, str(tmp_path / "stub.py"), str(tmp_path / "log")]
+    return subprocess.run(
+        [sys.executable, str(PAIRED), str(tmp_path / "base"), str(tmp_path / "change"),
+         "-n", str(n), "--", *command],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_paired_alternates_and_summarises(tmp_path):
+    base = [{"metrics": {"items_per_s": x, "t": t}} for x, t in ((10, 1.0), (20, 2.0), (30, 4.0))]
+    change = [{"metrics": {"items_per_s": x, "t": t}} for x, t in ((12, 1.0), (20, 1.0), (25, 5.0))]
+    trees(tmp_path, base, change)
+    done = paired(tmp_path, 3)
+    assert done.returncode == 0, done.stderr
+    order = (tmp_path / "log").read_text().split()
+    assert order == ["base", "change", "change", "base", "base", "change"]
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert set(summary) == {"wall_s", "items_per_s", "t"}
+    items, t = summary["items_per_s"], summary["t"]
+    assert items["better"] == "higher" and t["better"] == "lower"
+    assert items["base"] == {"median": 20, "q1": 15, "q3": 25}
+    assert items["change"] == {"median": 20, "q1": 16, "q3": 22.5}
+    assert t["base"] == {"median": 2.0, "q1": 1.5, "q3": 3.0}
+    # one win, one tie and one loss on each metric: a tie is no win
+    assert items["change_won"] == 1 and t["change_won"] == 1
+    assert items["pairs"] == 3
+    assert items["median_ratio"] == 1.0 and t["median_ratio"] == 1.0
+
+
+def test_paired_passes_a_failing_run_exit_code_through(tmp_path):
+    runs = [{"metrics": {"items_per_s": 1}}] * 3
+    trees(tmp_path, runs, runs[:1] + [{"metrics": {"items_per_s": 1}, "exit": 7}] + runs[2:])
+    done = paired(tmp_path, 3)
+    assert done.returncode == 7
+    assert "exited 7" in done.stderr
+    # pair 2 runs CHANGE first, and its failure stops the script there
+    assert (tmp_path / "log").read_text().split() == ["base", "change", "change"]

@@ -394,6 +394,29 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
     assert table.sweeps == 1  # the Euler condition, tested once
 
 
+@pytest.mark.parametrize(
+    "family, sides", [(cubical_torus, (5, 5, 6, 6)), (pile_of_cubes, (3, 2, 2))]
+)
+def test_verify_all_transforms_each_distinct_vertex_link_once(family, sides, monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    gc = family(*sides)
+    monkeypatch.setattr(complexes, "h_simplicial", counted(complexes.h_simplicial))
+    monkeypatch.setattr(complexes, "g_vector", counted(complexes.g_vector))
+    run_suite("all", gc)
+    gc.complex.link_g_vectors
+    distinct = len(set(gc.complex.vertex_coface_counts.values()))
+    assert distinct < len(gc.complex.vertices)
+    assert calls == {"h_simplicial": distinct, "g_vector": distinct}
+
+
 def test_readme_suite_table_matches_the_registry():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     rows = [line.split(" | ") for line in readme.splitlines() if line.startswith("| `")]
