@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .vectors import (
     FVector,
@@ -107,12 +107,12 @@ def _reader(indices: tuple[int, ...]) -> Reader:
     return itemgetter(*indices)
 
 
-def _bit_sums(coords: Iterable[int]) -> list[int]:
-    """Every sum of a subset of the bits at ``coords``, the subset read as a
-    binary number whose digit t stands for the t-th coordinate."""
+def _subset_sums(steps: Iterable[int]) -> list[int]:
+    """The corners of a cube in bit order as offsets from its first corner:
+    corner b is the sum of the steps whose digit t is set in b."""
     sums = [0]
-    for q in coords:
-        sums += [s + (1 << q) for s in sums]
+    for step in steps:
+        sums += [s + step for s in sums]
     return sums
 
 
@@ -129,8 +129,9 @@ def _subface_tables(k: int) -> tuple[tuple[int, Reader], ...]:
     for j in range(k, -1, -1):
         for free in combinations(range(k), j):
             fixed = [q for q in range(k) if q not in free]
-            offsets = _bit_sums(free)
-            tables += [(j, _reader(tuple(base + m for m in offsets))) for base in _bit_sums(fixed)]
+            offsets = _subset_sums(1 << q for q in free)
+            bases = _subset_sums(1 << q for q in fixed)
+            tables += [(j, _reader(tuple(base + m for m in offsets))) for base in bases]
     return tuple(tables)
 
 
@@ -177,6 +178,16 @@ def _facet_tables(table, k: int) -> tuple[tuple[int, Reader], ...]:
     return tuple(t for t in table(k) if t[0] == k - 1)
 
 
+def _check_corners(corners: Sequence[int]) -> None:
+    """The gate every cell passes: its vertex ids are nonnegative integers,
+    bools excluded, and no vertex repeats."""
+    for v in corners:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ValueError(f"vertex ids must be nonnegative integers, got {v!r}")
+    if len(set(corners)) != len(corners):
+        raise DuplicateVertexInCell("cell repeats a vertex")
+
+
 def _fmt_key(key: Iterable[int]) -> str:
     return "{%s}" % ", ".join(str(v) for v in sorted(key))
 
@@ -196,11 +207,7 @@ class CubicalCell:
             raise ValueError(
                 f"a {self.dim}-cell needs {1 << self.dim} corners, got {len(self.corners)}"
             )
-        for v in self.corners:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"vertex ids must be nonnegative integers, got {v!r}")
-        if len(set(self.corners)) != len(self.corners):
-            raise DuplicateVertexInCell(f"cell corners {self.corners} repeat a vertex")
+        _check_corners(self.corners)
 
     @property
     def key(self) -> FaceKey:
@@ -611,17 +618,18 @@ class SimplicialComplex(_FaceTable):
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given facets; contained facets are dropped.
 
+        Each facet passes the cell gate before its vertices become a set.
         The facets are closed largest first, so a contained facet is already
         a face when its turn comes and the closure leaves it out.
         """
-        keys = {frozenset(f) for f in facets}
+        keys = set()
+        for f in facets:
+            f = tuple(f)
+            _check_corners(f)
+            keys.add(frozenset(f))
         keys.discard(frozenset())
         if not keys:
             raise ValueError("at least one nonempty facet is required")
-        for f in keys:
-            for v in f:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise ValueError(f"vertex ids must be nonnegative integers, got {v!r}")
         order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
         faces, cells = cls._close((len(c) - 1, c) for c in order)
         return cls(faces, cells)

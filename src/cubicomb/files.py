@@ -21,6 +21,7 @@ from .complexes import (
     CubicalComplex,
     SimplicialComplex,
     ValidationFailed,
+    _check_corners,
 )
 from .generators import GeneratedComplex, as_generated, check_topology_metadata
 
@@ -87,14 +88,6 @@ def _need(doc: dict, field: str, types, where: str = "") -> Any:
 _KNOWN_FIELDS = {"format_version", "kind", "dim", "cells", "topology", "polytopal", "provenance"}
 
 
-def _check_vertices(cell: list, where: str) -> None:
-    for v in cell:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ParseError(f"vertex ids must be nonnegative integers, got {v!r}", where=where)
-    if len(set(cell)) != len(cell):
-        raise ParseError("cell repeats a vertex", where=where)
-
-
 def parses(text: str) -> GeneratedComplex:
     """Parse a document string into a validated complex with metadata."""
     try:
@@ -135,7 +128,10 @@ def parses(text: str) -> GeneratedComplex:
         where = f"cells[{idx}]"
         if not isinstance(raw, list) or not raw:
             raise ParseError("each cell is a nonempty list of vertex ids", where=where)
-        _check_vertices(raw, where)
+        try:
+            _check_corners(raw)
+        except ValueError as e:
+            raise ParseError(str(e), where=where) from None
         if kind == "cubical":
             n = len(raw)
             if n & (n - 1):

@@ -11,11 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .complexes import (
     Complex,
     CubicalCell,
     ValidationFailed,
+    _subset_sums,
     build_cubical,
     build_simplicial,
 )
@@ -103,21 +105,15 @@ def check_topology_metadata(gc: GeneratedComplex) -> None:
             raise ValidationFailed("topology 'manifold-with-boundary' needs a nonempty boundary")
 
 
-def _insert_bit(m: int, position: int, bit: int) -> int:
-    low = m & ((1 << position) - 1)
-    high = m >> position
-    return low | (bit << position) | (high << (position + 1))
-
-
 def cube_boundary(n: int) -> GeneratedComplex:
     """Boundary of the n-cube: the 2n facets obtained by fixing one coordinate."""
     if n < 1:
         raise ValueError("cube_boundary needs n >= 1")
     cells = []
     for axis in range(n):
+        free = _subset_sums(1 << q for q in range(n) if q != axis)
         for side in (0, 1):
-            corners = tuple(_insert_bit(m, axis, side) for m in range(1 << (n - 1)))
-            cells.append(CubicalCell(n - 1, corners))
+            cells.append(CubicalCell(n - 1, tuple(m + (side << axis) for m in free)))
     K = build_cubical(cells)
     return GeneratedComplex(K, "sphere", f"cube_boundary({n})", polytopal=True)
 
@@ -130,25 +126,23 @@ def solid_cube(n: int) -> GeneratedComplex:
     return GeneratedComplex(K, "ball", f"solid_cube({n})", polytopal=True)
 
 
-def _grid_vertex(coords: tuple[int, ...], shape: tuple[int, ...]) -> int:
-    vid = 0
-    for c, s in zip(coords, shape):
-        vid = vid * s + c
-    return vid
-
-
 def _grid_cells(sides: tuple[int, ...], wrap: bool) -> list[CubicalCell]:
     """The unit cubes of a box with sides[t] cubes along axis t; with
-    ``wrap`` set, coordinate t runs modulo sides[t], closing up a torus."""
+    ``wrap`` set, coordinate t runs modulo sides[t], closing up a torus.
+
+    Vertex ids are row-major over the grid points; a cube's corners are its
+    first corner plus the subset sums of one step per axis, the stride of
+    the axis, or the stride back to coordinate 0 where the torus wraps."""
     n = len(sides)
     shape = sides if wrap else tuple(a + 1 for a in sides)
+    strides = [prod(shape[t + 1 :]) for t in range(n)]
     cells = []
     for base in product(*[range(a) for a in sides]):
-        corners = []
-        for m in range(1 << n):
-            coords = tuple((base[q] + (m >> q & 1)) % shape[q] for q in range(n))
-            corners.append(_grid_vertex(coords, shape))
-        cells.append(CubicalCell(n, tuple(corners)))
+        first = sum(b * s for b, s in zip(base, strides))
+        steps = [
+            s * (1 - a) if wrap and b == a - 1 else s for b, a, s in zip(base, sides, strides)
+        ]
+        cells.append(CubicalCell(n, tuple(first + m for m in _subset_sums(steps))))
     return cells
 
 
@@ -295,14 +289,10 @@ def prism(base: GeneratedComplex) -> GeneratedComplex:
     if K.dim < 0:
         raise ValueError("prism needs a nonempty complex")
     offset = max(K.vertices) + 1
-    cells = []
-    for cell in K.cells:
-        k = cell.dim
-        corners = []
-        for m in range(1 << (k + 1)):
-            layer = m >> k
-            corners.append(cell.corners[m & ((1 << k) - 1)] + layer * offset)
-        cells.append(CubicalCell(k + 1, tuple(corners)))
+    cells = [
+        CubicalCell(cell.dim + 1, cell.corners + tuple(v + offset for v in cell.corners))
+        for cell in K.cells
+    ]
     P = build_cubical(cells)
     return GeneratedComplex(
         P,

@@ -61,6 +61,15 @@ def grid_vertex(coords, shape):
     return vid
 
 
+def insert_bit(m, position, bit):
+    """``m`` with ``bit`` inserted at ``position`` and the higher bits moved
+    up one: the cube corner that fixes coordinate ``position`` to ``bit``
+    and reads the other coordinates off ``m``."""
+    low = m & ((1 << position) - 1)
+    high = m >> position
+    return low | (bit << position) | (high << (position + 1))
+
+
 def pile_face_sets(sides):
     """Every face of the grid of unit cubes, as a frozenset of vertex ids.
 

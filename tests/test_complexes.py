@@ -350,6 +350,14 @@ def test_simplicial_boundary_of_two_tetrahedra():
     assert frozenset({1, 2, 3}) not in B.faces
 
 
+def test_from_facets_checks_each_facet_before_merging_its_vertices():
+    for facet in ([1, True, 2], [1, 1.0, 2], [[1], 2], [1, 1, 2]):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_facets([facet])
+    with pytest.raises(DuplicateVertexInCell, match="^cell repeats a vertex$"):
+        SimplicialComplex.from_facets([[1, 1, 2]])
+
+
 def test_simplicial_rejects_bad_vertices():
     with pytest.raises(ValueError):
         build_simplicial([[0, -2]])

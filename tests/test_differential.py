@@ -16,7 +16,8 @@ entries inside each entry must be the ones a subset scan finds, and the
 arithmetic same-cube test must accept exactly the corner orderings with
 the same facets.
 Relabelling the vertices of either kind changes no face count and no
-report's name, status or checks.
+report's name, status or checks.  Generated grid, torus, cube-boundary and
+prism cells equal their coordinate definitions, corner order included.
 """
 
 from itertools import combinations, permutations, product
@@ -34,20 +35,26 @@ from cubicomb import (
     InconsistentSharedFace,
     SimplicialComplex,
     build_simplicial,
+    cube_boundary,
     f_vector,
     g_vector,
     h_simplicial,
     link_face,
     link_of_vertex,
     parses,
+    pile_of_cubes,
+    prism,
     run_suite,
     serializes,
+    solid_cube,
     verify_h_vector_identities,
 )
 from cubicomb.complexes import _inside, _same_cube, _simplex_tables, _subface_tables
+from cubicomb.generators import _grid_cells
 from families import simplicial_family
 from oracles import (
     grid_vertex,
+    insert_bit,
     reference_cubical_closure,
     reference_cubical_link,
     reference_facet_keys,
@@ -67,6 +74,44 @@ def grid_cells(sides, wrap):
             corners.append(grid_vertex(coords, shape))
         cells.append(tuple(corners))
     return cells
+
+
+GRID_SHAPES = (
+    [(sides, False) for n in range(1, 5) for sides in product(range(1, 5), repeat=n)]
+    + [(sides, True) for n in range(1, 4) for sides in product(range(3, 6), repeat=n)]
+    + [((3, 5, 4, 3), True)]
+)
+
+
+def test_grid_cells_match_their_definition():
+    for sides, wrap in GRID_SHAPES:
+        got = [cell.corners for cell in _grid_cells(sides, wrap)]
+        assert got == grid_cells(sides, wrap), (sides, wrap)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cube_boundary_facets_fix_one_coordinate(n):
+    expect = sorted(
+        tuple(insert_bit(m, axis, side) for m in range(1 << (n - 1)))
+        for axis in range(n)
+        for side in (0, 1)
+    )
+    assert sorted(cell.corners for cell in cube_boundary(n).complex.cells) == expect
+
+
+def test_prism_cells_stack_two_layers_of_each_base_cell():
+    bases = [cube_boundary(2), pile_of_cubes(2, 1), cube_boundary(3), solid_cube(2), solid_cube(0)]
+    for base in bases:
+        K = base.complex
+        offset = max(K.vertices) + 1
+        expect = sorted(
+            tuple(
+                c.corners[m & ((1 << c.dim) - 1)] + (m >> c.dim) * offset
+                for m in range(2 << c.dim)
+            )
+            for c in K.cells
+        )
+        assert sorted(cell.corners for cell in prism(base).complex.cells) == expect, base.provenance
 
 
 @st.composite

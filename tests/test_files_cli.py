@@ -150,6 +150,50 @@ def test_parse_error_on_malformed_cells():
         parses(json.dumps(dict(base, cells=[[0, True, 2, 3]])))
 
 
+ID_ERROR = "vertex ids must be nonnegative integers, got "
+BAD_CELLS = [
+    ([0, -1], ID_ERROR + "-1"),
+    ([0, True], ID_ERROR + "True"),
+    ([0, 1.5], ID_ERROR + "1.5"),
+    ([0, [1]], ID_ERROR + "[1]"),
+    ([0, "1"], ID_ERROR + "'1'"),
+    ([7, 7], "cell repeats a vertex"),
+]
+
+
+def _doc_with_second_cell(kind, cell):
+    return json.dumps({"format_version": "1", "kind": kind, "dim": 1, "cells": [[0, 1], cell]})
+
+
+@pytest.mark.parametrize("kind", ["cubical", "simplicial"])
+@pytest.mark.parametrize("cell, message", BAD_CELLS)
+def test_parse_error_text_of_a_bad_cell(kind, cell, message):
+    with pytest.raises(ParseError) as err:
+        parses(_doc_with_second_cell(kind, cell))
+    assert str(err.value) == "cells[1]: " + message
+
+
+def test_parse_error_text_of_a_three_corner_cubical_cell():
+    with pytest.raises(ParseError) as err:
+        parses(_doc_with_second_cell("cubical", [0, 1, -2]))
+    assert str(err.value) == "cells[1]: " + ID_ERROR + "-2"
+    with pytest.raises(ParseError) as err:
+        parses(_doc_with_second_cell("cubical", [0, 1, 2]))
+    assert str(err.value) == "cells[1]: a cubical cell needs a power-of-two corner count, got 3"
+
+
+def test_cli_reports_a_bad_cell_with_exit_2(tmp_path):
+    path = _write(tmp_path, "bad.json", _doc_with_second_cell("simplicial", [7, 7]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicomb.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "cubicomb.cli", "verify", "all", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: cells[1]: cell repeats a vertex\n"
+    )
+
+
 def test_validation_failed_on_semantic_problems():
     with pytest.raises(ValidationFailed) as err:
         parses(json.dumps({
