@@ -6,88 +6,17 @@ g-vectors over exact integers, and verify identities and lower bounds
 with reports that always show both sides of every comparison.
 """
 
-from .complexes import (
-    ComplexError,
-    CubicalCell,
-    CubicalComplex,
-    DuplicateVertexInCell,
-    Face,
-    InconsistentSharedFace,
-    IntersectionNotAFace,
-    NotPure,
-    SimplicialComplex,
-    UnknownFace,
-    UnknownVertex,
-    ValidationFailed,
-    ZeroDimensionalFace,
-    antipodal_pairs,
-    boundary_complex,
-    build_cubical,
-    build_simplicial,
-    least_upper_bound,
-    link_face,
-    link_of_vertex,
-)
-from .files import FORMAT_VERSION, ParseError, parse, parses, serialize, serializes
-from .generators import (
-    GeneratedComplex,
-    check_topology_metadata,
-    cross_polytope_boundary,
-    cube_boundary,
-    cubical_torus,
-    pile_boundary,
-    pile_of_cubes,
-    prism,
-    simplex,
-    simplex_boundary,
-    solid_cube,
-    stacked_cubical,
-    stacked_simplicial_ball,
-    stacked_sphere,
-)
-from .macaulay import (
-    MacaulayDecomposition,
-    MVectorCheck,
-    check_g_theorem_conditions,
-    is_m_vector,
-    macaulay_rep,
-    pseudopower,
-)
-from .report import Check, Precondition, VerificationReport, format_report, make_report
-from .vectors import (
-    FVector,
-    GVector,
-    HVector,
-    f_from_h_simplicial,
-    f_vector,
-    g_vector,
-    h_long_cubical,
-    h_short_cubical_from_f,
-    h_short_cubical_from_links,
-    h_simplicial,
-    reduced_euler,
-)
-from .verify import (
-    SUITES,
-    is_eulerian,
-    is_pseudomanifold,
-    is_pure,
-    is_semi_eulerian,
-    run_suite,
-    verify_adin_ds,
-    verify_alternating_g_sum,
-    verify_cubical_ball_ds,
-    verify_cubical_boundary_ds,
-    verify_face_lower_bounds,
-    verify_four_sphere_glbc,
-    verify_h_vector_identities,
-    verify_middle_glbc,
-    verify_simplicial_boundary_ds,
-    verify_small_g2_glbc,
-    verify_small_link_glbc,
-    verify_stacked_link_plateau,
-    verify_vertex_lower_bound,
-    verify_vertex_pair_bound,
-)
+from .complexes import *
+from .files import *
+from .generators import *
+from .macaulay import *
+from .report import *
+from .vectors import *
+from .verify import *
+
+__all__ = [
+    *complexes.__all__, *files.__all__, *generators.__all__, *macaulay.__all__,
+    *report.__all__, *vectors.__all__, *verify.__all__,
+]
 
 __version__ = "0.1.0"

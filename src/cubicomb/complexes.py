@@ -624,7 +624,10 @@ class SimplicialComplex(_FaceTable):
         """
         keys = set()
         for f in facets:
-            f = tuple(f)
+            try:
+                f = tuple(f)
+            except TypeError:
+                raise ValueError(f"a facet must be an iterable of vertex ids, got {f!r}") from None
             _check_corners(f)
             keys.add(frozenset(f))
         keys.discard(frozenset())

@@ -128,19 +128,19 @@ def parses(text: str) -> GeneratedComplex:
         where = f"cells[{idx}]"
         if not isinstance(raw, list) or not raw:
             raise ParseError("each cell is a nonempty list of vertex ids", where=where)
+        n = len(raw)
         try:
-            _check_corners(raw)
+            if kind == "cubical" and not n & (n - 1):
+                cells.append(CubicalCell(n.bit_length() - 1, tuple(raw)))
+                continue
+            _check_corners(raw)  # an id error wins over the corner count
         except ValueError as e:
             raise ParseError(str(e), where=where) from None
         if kind == "cubical":
-            n = len(raw)
-            if n & (n - 1):
-                raise ParseError(
-                    f"a cubical cell needs a power-of-two corner count, got {n}", where=where
-                )
-            cells.append(CubicalCell(n.bit_length() - 1, tuple(raw)))
-        else:
-            cells.append(raw)
+            raise ParseError(
+                f"a cubical cell needs a power-of-two corner count, got {n}", where=where
+            )
+        cells.append(raw)
 
     try:
         if kind == "cubical":

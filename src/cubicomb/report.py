@@ -8,12 +8,13 @@ unmet preconditions mark the whole report "inapplicable" rather than
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = ["Precondition", "Check", "VerificationReport", "make_report", "format_report"]
 
-_RELATIONS = ("==", "<=", ">=")
+_RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,7 @@ class Check:
 
     @property
     def ok(self) -> bool:
-        if self.relation == "==":
-            return self.lhs == self.rhs
-        if self.relation == "<=":
-            return self.lhs <= self.rhs
-        return self.lhs >= self.rhs
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
 
 @dataclass(frozen=True)

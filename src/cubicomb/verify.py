@@ -92,86 +92,59 @@ def _kind(kind: str) -> Gate:
     return lambda gc: Precondition(f"{kind} complex", gc.complex.kind == kind)
 
 
-def _nonempty(gc: GeneratedComplex) -> Precondition:
-    return Precondition("nonempty", gc.complex.dim >= 0, f"dim {gc.complex.dim}")
+# The gate kinds: a test on one quantity of the complex, shown as the detail.
+def _on_dim(description: str, test: Callable[[int], bool]) -> Gate:
+    return lambda gc: Precondition(description, test(gc.complex.dim), f"dim {gc.complex.dim}")
 
 
-def _pure(gc: GeneratedComplex) -> Precondition:
-    return Precondition("pure", gc.complex.pure)
+def _on_tag(description: str, test: Callable[[str], bool]) -> Gate:
+    return lambda gc: Precondition(description, test(gc.topology), f"topology {gc.topology}")
+
+
+def _on_flag(description: str, test: Callable[[GeneratedComplex], bool]) -> Gate:
+    return lambda gc: Precondition(description, test(gc))
+
+
+def _on_euler(description: str, test: Callable[[object], bool]) -> Gate:
+    return lambda gc: Precondition(
+        description, test(gc.complex), f"reduced Euler {reduced_euler(gc.complex)}"
+    )
+
+
+def _on_boundary(description: str, test: Callable[[object], bool]) -> Gate:
+    return lambda gc: Precondition(
+        description, test(gc.complex), f"boundary dim {gc.complex.boundary.dim}"
+    )
 
 
 def _dim_at_least(n: int) -> Gate:
-    return lambda gc: Precondition(
-        f"dimension >= {n}", gc.complex.dim >= n, f"dim {gc.complex.dim}"
-    )
+    return _on_dim(f"dimension >= {n}", lambda d: d >= n)
 
 
-def _dim_four(gc: GeneratedComplex) -> Precondition:
-    return Precondition("dimension 4", gc.complex.dim == 4, f"dim {gc.complex.dim}")
-
-
-def _even_dim(gc: GeneratedComplex) -> Precondition:
-    d = gc.complex.dim
-    return Precondition("even dimension >= 2", d >= 2 and d % 2 == 0, f"dim {d}")
-
-
-def _pseudomanifold(gc: GeneratedComplex) -> Precondition:
-    return Precondition("closed pseudomanifold", gc.complex.pseudomanifold)
-
-
-def _semi_eulerian(gc: GeneratedComplex) -> Precondition:
-    C = gc.complex
-    return Precondition("semi-Eulerian", C.semi_eulerian, f"reduced Euler {reduced_euler(C)}")
-
-
-def _eulerian(gc: GeneratedComplex) -> Precondition:
-    C = gc.complex
-    return Precondition("Eulerian", C.eulerian, f"reduced Euler {reduced_euler(C)}")
-
-
-def _reduced_euler_zero(gc: GeneratedComplex) -> Precondition:
-    chi = reduced_euler(gc.complex)
-    return Precondition("reduced Euler 0", chi == 0, f"reduced Euler {chi}")
-
-
-def _sphere(gc: GeneratedComplex) -> Precondition:
-    return Precondition("flagged as a sphere", gc.topology == "sphere", f"topology {gc.topology}")
-
-
-def _ball(gc: GeneratedComplex) -> Precondition:
-    return Precondition("flagged as a ball", gc.topology == "ball", f"topology {gc.topology}")
-
-
-def _polytopal(gc: GeneratedComplex) -> Precondition:
-    return Precondition("flagged polytopal", gc.polytopal)
-
-
-def _with_boundary(gc: GeneratedComplex) -> Precondition:
-    return Precondition(
-        "flagged as a manifold with boundary",
-        gc.topology in ("ball", "manifold-with-boundary"),
-        f"topology {gc.topology}",
-    )
+_nonempty = _on_dim("nonempty", lambda d: d >= 0)
+_dim_four = _on_dim("dimension 4", lambda d: d == 4)
+_even_dim = _on_dim("even dimension >= 2", lambda d: d >= 2 and d % 2 == 0)
+_sphere = _on_tag("flagged as a sphere", lambda t: t == "sphere")
+_ball = _on_tag("flagged as a ball", lambda t: t == "ball")
+_with_boundary = _on_tag(
+    "flagged as a manifold with boundary", lambda t: t in ("ball", "manifold-with-boundary")
+)
+_pure = _on_flag("pure", lambda gc: gc.complex.pure)
+_pseudomanifold = _on_flag("closed pseudomanifold", lambda gc: gc.complex.pseudomanifold)
+_polytopal = _on_flag("flagged polytopal", lambda gc: gc.polytopal)
+_semi_eulerian = _on_euler("semi-Eulerian", lambda C: C.semi_eulerian)
+_eulerian = _on_euler("Eulerian", lambda C: C.eulerian)
+_reduced_euler_zero = _on_euler("reduced Euler 0", lambda C: reduced_euler(C) == 0)
+_nonempty_boundary = _on_boundary("nonempty boundary", lambda C: C.boundary.dim >= 0)
+_nonempty_boundary_unless_point = _on_boundary(
+    "nonempty boundary (a point may have none)", lambda C: C.boundary.dim >= 0 or C.dim == 0
+)
 
 
 def _ridges_in_one_or_two(gc: GeneratedComplex) -> Precondition:
     degrees = set(gc.complex.ridge_degrees().values())
     return Precondition(
         "every ridge lies in one or two facets", degrees <= {1, 2}, f"degrees {sorted(degrees)}"
-    )
-
-
-def _nonempty_boundary(gc: GeneratedComplex) -> Precondition:
-    bdim = gc.complex.boundary.dim
-    return Precondition("nonempty boundary", bdim >= 0, f"boundary dim {bdim}")
-
-
-def _nonempty_boundary_unless_point(gc: GeneratedComplex) -> Precondition:
-    bdim = gc.complex.boundary.dim
-    return Precondition(
-        "nonempty boundary (a point may have none)",
-        bdim >= 0 or gc.complex.dim == 0,
-        f"boundary dim {bdim}",
     )
 
 

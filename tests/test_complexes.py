@@ -358,6 +358,13 @@ def test_from_facets_checks_each_facet_before_merging_its_vertices():
         SimplicialComplex.from_facets([[1, 1, 2]])
 
 
+@pytest.mark.parametrize("facets, bad", [([5], "5"), ([None], "None"), ([[1, 2], 7], "7")])
+def test_from_facets_refuses_a_facet_that_is_not_iterable(facets, bad):
+    with pytest.raises(ValueError) as err:
+        SimplicialComplex.from_facets(facets)
+    assert str(err.value) == f"a facet must be an iterable of vertex ids, got {bad}"
+
+
 def test_simplicial_rejects_bad_vertices():
     with pytest.raises(ValueError):
         build_simplicial([[0, -2]])

@@ -26,6 +26,7 @@ from cubicomb import (
     solid_cube,
     stacked_simplicial_ball,
 )
+from cubicomb import complexes, files
 from cubicomb.cli import entry
 from families import cubical_family, simplicial_family
 
@@ -212,6 +213,71 @@ def test_validation_failed_on_semantic_problems():
         parses(serializes(GeneratedComplex(solid_cube(2).complex, "sphere", "wrong")))
     with pytest.raises(ValidationFailed):
         parses(serializes(GeneratedComplex(solid_cube(2).complex, "blob", "wrong")))
+
+
+def _cubical_doc(cells, topology):
+    dim = max(len(c) for c in cells).bit_length() - 1
+    return json.dumps(
+        {"format_version": "1", "kind": "cubical", "dim": dim, "topology": topology, "cells": cells}
+    )
+
+
+SQUARE_AND_EDGE = [[0, 1, 2, 3], [3, 4]]
+TOPOLOGY_REFUSALS = [
+    (SQUARE_AND_EDGE, "ball", "topology 'ball' needs a pure complex"),
+    # f = (12, 24, 13) and reduced Euler 0, but every edge lies in two or three squares
+    (
+        [list(c.corners) for c in cubical_torus(4, 3).complex.cells] + [[0, 3, 9, 6]],
+        "ball",
+        "topology 'ball' needs a nonempty boundary",
+    ),
+    (
+        SQUARE_AND_EDGE,
+        "manifold-with-boundary",
+        "topology 'manifold-with-boundary' needs a pure complex",
+    ),
+    (
+        [[0, 1, 2, 3], [0, 1, 4, 5], [0, 1, 6, 7]],
+        "manifold-with-boundary",
+        "topology 'manifold-with-boundary' allows ridge degrees 1 and 2, got [1, 3]",
+    ),
+    (
+        [[0, 1], [1, 3], [2, 3], [0, 2]],
+        "manifold-with-boundary",
+        "topology 'manifold-with-boundary' needs a nonempty boundary",
+    ),
+]
+
+
+@pytest.mark.parametrize("cells, topology, message", TOPOLOGY_REFUSALS)
+def test_parse_refuses_a_topology_tag_the_cells_contradict(cells, topology, message):
+    with pytest.raises(ValidationFailed) as err:
+        parses(_cubical_doc(cells, topology))
+    assert str(err.value) == message
+
+
+def test_cli_reports_a_contradicted_topology_tag_with_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "ball.json", _cubical_doc(SQUARE_AND_EDGE, "ball"))
+    assert entry(["verify", "all", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: topology 'ball' needs a pure complex\n")
+
+
+def test_parse_gates_each_cubical_cell_once(monkeypatch):
+    calls = []
+    gate = complexes._check_corners
+
+    def counted(corners):
+        calls.append(corners)
+        return gate(corners)
+
+    monkeypatch.setattr(complexes, "_check_corners", counted)
+    monkeypatch.setattr(files, "_check_corners", counted)
+    torus = cubical_torus(4, 4, 4)
+    text = serializes(torus)
+    calls.clear()
+    assert parses(text) == torus
+    assert len(calls) == len(torus.complex.cells) == 64
 
 
 BOWTIE_TEXT = serializes(
