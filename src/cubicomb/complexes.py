@@ -1,11 +1,12 @@
-"""Cubical and simplicial complexes stored as one table of faces by vertex set.
+"""Cubical and simplicial complexes stored as one table of numbered faces.
 
 A face is identified with its vertex set and carries one corner ordering: a
 cubical witness, whose position ``b`` holds the vertex at cube coordinate
 ``b`` (bits read least significant first), or the sorted simplex vertices.
-Both kinds share the closure, the derived views and the boundary; a kind
-supplies only the subface table of a cell.  Cubical validation cross-checks
-that cells sharing a vertex agree on shared faces and meet in a common face.
+Both kinds share the closure, which numbers the faces, the derived views,
+which sweep the numbers, and the boundary; a kind supplies only the subface
+table of a cell.  Cubical validation cross-checks that cells sharing a
+vertex agree on shared faces and meet in a common face.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
@@ -15,9 +16,11 @@ lazily and cached on the object.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
@@ -173,9 +176,9 @@ def _inside(table, k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _facet_tables(table, k: int) -> tuple[tuple[int, Reader], ...]:
-    """The codimension-one entries of a k-cell's subface ``table``."""
-    return tuple(t for t in table(k) if t[0] == k - 1)
+def _facet_tables(table, k: int) -> tuple[int, ...]:
+    """The indices of the codimension-one entries of a k-cell's subface ``table``."""
+    return tuple(e for e, (j, _) in enumerate(table(k)) if j == k - 1)
 
 
 def _check_corners(corners: Sequence[int]) -> None:
@@ -224,33 +227,29 @@ class Face:
     corners: tuple[int, ...]
 
 
-def _face_order(face: Face) -> tuple[int, tuple[int, ...]]:
-    return (face.dim, tuple(sorted(face.key)))
+def _same_cube(first: tuple[int, ...], sub: tuple[int, ...], dim: int) -> None:
+    """Refuse a second corner ordering ``sub`` of a face whose witness is
+    ``first`` unless, read as positions in ``first``, it is a cube symmetry."""
+    if dim >= 2 and first != sub and not _cube_symmetry(tuple(map(first.index, sub))):
+        raise InconsistentSharedFace(
+            f"cells induce different cube structures on the shared vertex set {_fmt_key(first)}"
+        )
 
 
-def _same_cube(prev: Face, sub: tuple[int, ...], dim: int) -> None:
-    """Refuse a second corner ordering that makes a different cube of a face.
-
-    Read as positions ``q`` in the first ordering, the second makes the same
-    cube exactly when it is a symmetry of the cube: the steps
-    ``q[1 << t] ^ q[0]`` are distinct single bits and every ``q[b]`` is
-    ``q[0]`` moved by the steps of the bits set in ``b``.
-    """
-    if dim < 2 or prev.corners == sub:
-        return
-    at = dict(zip(prev.corners, range(len(sub))))
-    q = [at[v] for v in sub]
+@lru_cache(maxsize=1 << 12)
+def _cube_symmetry(q: tuple[int, ...]) -> bool:
+    """Whether the corner positions ``q`` are a symmetry of the cube: the
+    steps ``q[1 << t] ^ q[0]`` are distinct single bits and every ``q[b]``
+    is ``q[0]`` moved by the steps of the bits set in ``b``."""
+    dim = len(q).bit_length() - 1
     steps = [q[1 << t] ^ q[0] for t in range(dim)]
     moved = [q[0]]
     for step in steps:
         moved += [x ^ step for x in moved]
-    if moved != q or sorted(steps) != [1 << t for t in range(dim)]:
-        raise InconsistentSharedFace(
-            f"cells induce different cube structures on the shared vertex set {_fmt_key(prev.key)}"
-        )
+    return moved == list(q) and sorted(steps) == [1 << t for t in range(dim)]
 
 
-def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> list[bool]:
+def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], index) -> list[bool]:
     """Check every two cells that share a vertex, in input order, and flag
     the cells that lie inside another.
 
@@ -297,7 +296,7 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> 
         if bad:
             ka, kb = keys[a], keys[min(bad)]
             inter = ka & kb
-            if inter not in faces:
+            if inter not in index:
                 raise IntersectionNotAFace(
                     f"cells {_fmt_key(ka)} and {_fmt_key(kb)} intersect in "
                     f"{_fmt_key(inter)}, which is not a face"
@@ -310,91 +309,135 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], faces: dict) -> 
 
 
 class _FaceTable:
-    """The face table both kinds share: every face by vertex set, the
-    inclusion-maximal cells, and the views derived from them, the cached ones
-    computed on first use.
+    """The face table both kinds share: every face numbered in the order the
+    closure met it, with its vertex set, dimension and witness corners; the
+    numbers of the subface table entries of every cell in ``_ids``, each
+    inclusion-maximal cell's starting at its entry in ``_rows``; and the
+    views derived from them, the cached ones computed on first use.
 
-    A kind supplies ``_table``, the ``(dim, corner reader)`` subface table
-    of a cell, the cell itself first.
+    A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
+    a cell, the cell itself first and its vertices last, in corner order.
     """
 
-    def __init__(self, faces: dict[FaceKey, Face], cells: Iterable[Face]):
-        self.faces: dict[FaceKey, Face] = faces
-        self.cells: tuple[Face, ...] = tuple(sorted(cells, key=_face_order))
-        self.dim: int = max((c.dim for c in self.cells), default=-1)
+    def __init__(self, numbered, rows: Iterable[int]):
+        self._index, self._keys, self._dims, self._witness, self._ids = numbered
+        keys, dims, ids = self._keys, self._dims, self._ids
+        self._rows = array("i", sorted(rows, key=lambda r: (dims[ids[r]], sorted(keys[ids[r]]))))
+        self.dim: int = max(dims, default=-1)
+
+    @cached_property
+    def cells(self) -> tuple[Face, ...]:
+        """The inclusion-maximal cells, by dimension and then sorted vertices."""
+        return tuple(self._face(self._ids[r]) for r in self._rows)
 
     @classmethod
     def empty(cls):
         """The complex whose only face is the empty face (dimension -1)."""
-        return cls({}, ())
+        return cls(*cls._close(()))
 
     @classmethod
     def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]], source=None, conflict=None):
         """Subface closure of ``(dim, corners)`` cells, taken in order.
 
-        Returns the face table and the face of every cell whose vertex set was
-        not yet a face when its turn came.  A cell whose vertex set was lies
-        in an earlier cell and adds nothing; ``conflict(prev, corners, dim)``
-        sees it, and every other subface met a second time.  With a parent
-        table as ``source`` the faces are the parent's own objects.
+        Returns the numbered table and the row in ``_ids`` of every cell
+        whose vertex set was not yet a face when its turn came.  A cell
+        whose vertex set was lies in an earlier cell and adds nothing;
+        ``conflict(witness, corners, dim)`` sees it, and every other subface
+        met a second time.  With a parent table as ``source`` the vertex
+        sets, witnesses and number objects are the parent's own.
 
         A subface met a second time brings its own subfaces along, and once
         it passes ``conflict`` its whole face lattice agrees too, so the
-        table entries inside it are skipped.  The table order is kept, and
-        with it the first error.
+        table entries inside it are not checked again.  The table order is
+        kept, and with it the first error.
         """
         table = cls._table
-        faces: dict[FaceKey, Face] = {}
-        new = []
+        index: dict[FaceKey, int] = {}
+        vertex: dict[int, int] = {}  # the vertex entries, numbered without a frozenset
+        keys: list[FaceKey] = []
+        dims = bytearray()
+        witness: list[tuple[int, ...]] = []
+        ids = array("i")
+        rows = []
+        numbers = range(1 << 31)  # with a source, the parent's own number objects
+        if source is not None:
+            numbers = list(source._index.values())
+            s_index, s_keys, s_witness = source._index, source._keys, source._witness
+        add_key, add_dim, add_witness, add_id = keys.append, dims.append, witness.append, ids.append
         for dim, corners in cells:
-            own = frozenset(corners)
-            prev = faces.get(own)
-            if prev is not None:
+            n = index.get(frozenset(corners))
+            if n is not None:
                 if conflict is not None:
-                    conflict(prev, corners, dim)
+                    conflict(witness[n], corners, dim)
                 continue
+            rows.append(len(ids))
+            entries = table(dim)
             known: set[int] = set()
-            for e, (j, read) in enumerate(table(dim)):
-                if e in known:
-                    continue
+            # Every entry but the last len(corners), which are the vertices.
+            for e, (j, read) in zip(range(len(entries) - len(corners)), entries):
                 sub = read(corners)
                 key = frozenset(sub)
-                prev = faces.get(key)
-                if prev is None:
-                    face = Face(key, j, sub) if source is None else source[key]
-                    faces[face.key] = face
-                else:
-                    if conflict is not None:
-                        conflict(prev, sub, j)
+                n = index.get(key)
+                if n is None:
+                    if source is not None:
+                        m = s_index[key]
+                        key, sub = s_keys[m], s_witness[m]
+                    n = index[key] = numbers[len(keys)]
+                    add_key(key)
+                    add_dim(j)
+                    add_witness(sub)
+                elif conflict is not None and e not in known:
+                    conflict(witness[n], sub, j)
                     odd, even = _inside(table, dim, e)
                     known.update(odd)
                     known.update(even)
-            new.append(faces[own])
-        return faces, new
+                add_id(n)
+            for v in corners:
+                n = vertex.get(v)
+                if n is None:
+                    key, sub = frozenset((v,)), (v,)
+                    if source is not None:
+                        m = s_index[key]
+                        key, sub = s_keys[m], s_witness[m]
+                    n = vertex[v] = index[key] = numbers[len(keys)]
+                    add_key(key)
+                    add_dim(0)
+                    add_witness(sub)
+                add_id(n)
+        return (index, keys, dims, witness, ids), rows
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
 
     def __contains__(self, key: Iterable[int]) -> bool:
-        return frozenset(key) in self.faces
+        return frozenset(key) in self._index
 
     def __eq__(self, other: object):
         if not isinstance(other, type(self)):
             return NotImplemented
         return (
             self.dim == other.dim
-            and self.faces.keys() == other.faces.keys()
-            and all(self.faces[k].dim == other.faces[k].dim for k in self.faces)
+            and self._index.keys() == other._index.keys()
             and {c.key for c in self.cells} == {c.key for c in other.cells}
         )
 
     __hash__ = None  # type: ignore[assignment]
 
+    @cached_property
+    def faces(self) -> dict[FaceKey, Face]:
+        """Every face by vertex set in number order, built on first use."""
+        faces = dict(zip(self._keys, map(Face, self._keys, self._dims, self._witness)))
+        faces.update((c.key, c) for c in self.cells)
+        return faces
+
+    def _face(self, n: int) -> Face:
+        return Face(self._keys[n], self._dims[n], self._witness[n])
+
     def face(self, key: Iterable[int]) -> Face:
-        try:
-            return self.faces[frozenset(key)]
-        except KeyError:
-            raise UnknownFace(_fmt_key(key)) from None
+        n = self._index.get(frozenset(key))
+        if n is None:
+            raise UnknownFace(_fmt_key(key))
+        return self._face(n)
 
     def f_counts(self) -> tuple[int, ...]:
         """Number of i-dimensional faces for i = 0..dim (empty face excluded)."""
@@ -402,31 +445,34 @@ class _FaceTable:
 
     @cached_property
     def _f_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 1)
-        for face in self.faces.values():
-            counts[face.dim] += 1
-        return tuple(counts)
+        return tuple(map(self._dims.count, range(self.dim + 1)))
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(f.corners[0] for f in self.faces.values() if f.dim == 0))
+        return tuple(sorted(w[0] for w in compress(self._witness, map((0).__eq__, self._dims))))
+
+    def _vertex(self, v: int) -> int:
+        n = self._index.get(frozenset((v,)))
+        if n is None:
+            raise UnknownVertex(str(v))
+        return n
 
     @cached_property
-    def _star(self) -> dict[int, list[Face]]:
-        """The faces through each vertex."""
-        star: dict[int, list[Face]] = {v: [] for v in self.vertices}
-        for face in self.faces.values():
-            for v in face.corners:
-                star[v].append(face)
+    def _star(self) -> dict[int, array]:
+        """The numbers of the faces through each vertex."""
+        star = {v: array("i") for v in self.vertices}
+        for n, corners in enumerate(self._witness):
+            for v in corners:
+                star[v].append(n)
         return star
 
-    def _link(self, key: FaceKey, names: Callable[[Face], tuple[int, ...]]) -> "SimplicialComplex":
-        """The upper interval above the face ``key``: every coface G gives
-        the simplex ``names(G)``, a sorted tuple.  The cofaces are closed
+    def _link(self, n: int, names: Callable[[int], tuple[int, ...]]) -> "SimplicialComplex":
+        """The upper interval above face ``n``: every coface G gives the
+        simplex ``names(G)``, a sorted tuple.  The cofaces are closed
         largest first, so the closure keeps only the maximal simplices."""
-        star = self._star[next(iter(key))]
-        cofaces = sorted((G for G in star if key < G.key), key=lambda G: -G.dim)
-        simplices = map(names, cofaces)
+        keys, key = self._keys, self._keys[n]
+        cofaces = [G for G in self._star[self._witness[n][0]] if key < keys[G]]
+        simplices = map(names, sorted(cofaces, key=self._dims.__getitem__, reverse=True))
         return SimplicialComplex(*SimplicialComplex._close((len(s) - 1, s) for s in simplices))
 
     @cached_property
@@ -437,11 +483,12 @@ class _FaceTable:
         link, since faces through a vertex correspond to link faces; the
         entries are nonzero exactly up to the dimension of the vertex star.
         """
-        counts = {v: [0] * (self.dim + 1) for v in self.vertices}
-        for face in self.faces.values():
-            for v in face.key:
-                counts[v][face.dim] += 1
-        return {v: tuple(c) for v, c in counts.items()}
+        by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(self.dim + 1)]
+        for corners, j in zip(self._witness, self._dims):
+            by_dim[j].append(corners)
+        per_dim = [Counter(chain.from_iterable(faces)) for faces in by_dim]
+        vertices = self.vertices
+        return dict(zip(vertices, zip(*(map(c.__getitem__, vertices) for c in per_dim))))
 
     @cached_property
     def link_euler(self) -> dict[FaceKey, int]:
@@ -449,35 +496,33 @@ class _FaceTable:
 
         A face G of dimension g contributes a (g - f - 1)-dimensional link
         face to each of its f-dimensional subfaces, the empty link face
-        included when G equals the subface.  The sweep is numbered: the
-        faces are numbered in the order of ``faces``, every cell lists the
-        numbers of its subface table entries, and every face is swept once,
-        from the first cell that holds it, adding 1 to the entries inside it
-        at odd codimension and -1 to those at even codimension, itself
-        included.  The result is keyed like ``faces``, in the same order.
+        included when G equals the subface.  The sweep reads every cell's
+        entry numbers and sweeps every face once, from the first cell that
+        holds it, adding 1 to the entries inside it at odd codimension and
+        -1 to those at even codimension, itself included.  The result is
+        keyed like ``faces``, in the same order.
         """
-        faces, table = self.faces, self._table
-        number = dict(zip(faces, range(len(faces))))
-        acc = [0] * len(faces)
-        swept = [False] * len(faces)
-        for cell in self.cells:
-            corners = cell.corners
-            ids = [number[frozenset(read(corners))] for _, read in table(cell.dim)]
-            for e, f in enumerate(ids):
+        ids, dims, table = self._ids, self._dims, self._table
+        acc = [0] * len(dims)
+        swept = bytearray(len(dims))
+        for row in self._rows:
+            k = dims[ids[row]]
+            own = ids[row : row + len(table(k))].tolist()
+            for e, f in enumerate(own):
                 if swept[f]:
                     continue
-                swept[f] = True
-                odd, even = _inside(table, cell.dim, e)
+                swept[f] = 1
+                odd, even = _inside(table, k, e)
                 for s in odd:
-                    acc[ids[s]] += 1
+                    acc[own[s]] += 1
                 for s in even:
-                    acc[ids[s]] -= 1
-        return dict(zip(faces, acc))
+                    acc[own[s]] -= 1
+        return dict(zip(self._keys, acc))
 
     @cached_property
     def pure(self) -> bool:
         """All inclusion-maximal faces share the top dimension."""
-        return all(cell.dim == self.dim for cell in self.cells)
+        return all(self._dims[self._ids[r]] == self.dim for r in self._rows)
 
     def ridge_degrees(self) -> dict[FaceKey, int]:
         """How many facets contain each ridge.  Needs a pure complex."""
@@ -487,15 +532,10 @@ class _FaceTable:
 
     @cached_property
     def _ridge_degrees(self) -> dict[FaceKey, int]:
-        deg: dict[FaceKey, int] = {}
-        faces = self.faces
-        for cell in self.cells:
-            corners = cell.corners
-            for _, read in _facet_tables(self._table, cell.dim):
-                # The face's own key object, so the kept table holds no copies.
-                key = faces[frozenset(read(corners))].key
-                deg[key] = deg.get(key, 0) + 1
-        return deg
+        ids, keys, dims, ridges = self._ids, self._keys, self._dims, []
+        for row in self._rows:
+            ridges += [keys[ids[row + e]] for e in _facet_tables(self._table, dims[ids[row]])]
+        return Counter(ridges)
 
     @cached_property
     def pseudomanifold(self) -> bool:
@@ -513,10 +553,9 @@ class _FaceTable:
         """Every nonempty face link has the Euler characteristic of a sphere."""
         if not self.pure:
             raise NotPure("the Euler condition is checked on pure complexes")
-        d, faces = self.dim, self.faces
-        return all(
-            value == _neg_pow(d - faces[key].dim - 1) for key, value in self.link_euler.items()
-        )
+        sphere = [_neg_pow(self.dim - j - 1) for j in range(self.dim + 1)]
+        # link_euler is in face number order, like _dims.
+        return all(x == sphere[j] for (_, x), j in zip(self.link_euler.items(), self._dims))
 
     @cached_property
     def eulerian(self) -> bool:
@@ -526,9 +565,10 @@ class _FaceTable:
     @cached_property
     def boundary(self):
         """Closure of the ridges lying in exactly one facet; empty when closed."""
-        free = [self.faces[key] for key, n in self.ridge_degrees().items() if n == 1]
-        # Closed up from this complex's own Face objects rather than copies.
-        return type(self)(*self._close([(f.dim, f.corners) for f in free], self.faces))
+        dims, witness, index = self._dims, self._witness, self._index
+        free = [index[key] for key, n in self.ridge_degrees().items() if n == 1]
+        # Closed up from this complex's own keys, witnesses and numbers rather than copies.
+        return type(self)(*self._close([(dims[n], witness[n]) for n in free], self))
 
 
 class CubicalComplex(_FaceTable):
@@ -568,12 +608,14 @@ class CubicalComplex(_FaceTable):
             )
         # A repeated vertex set is already a face when its turn comes, so the
         # closure only checks that it describes the same cube.
-        faces, _ = cls._close(
+        numbered, rows = cls._close(
             [(c.dim, c.corners) for c in cell_list + repeated],
             conflict=_same_cube if validate else None,
         )
-        maximal = _check_pairs(cell_list, keys, faces) if validate else [True] * len(cell_list)
-        return cls(faces, [faces[k] for k, keep in zip(keys, maximal) if keep])
+        index, ids = numbered[0], numbered[-1]
+        maximal = _check_pairs(cell_list, keys, index) if validate else [True] * len(cell_list)
+        row_of = {ids[r]: r for r in rows}
+        return cls(numbered, [row_of[index[k]] for k, keep in zip(keys, maximal) if keep])
 
     @cached_property
     def h_short(self) -> HVector:
@@ -634,13 +676,11 @@ class SimplicialComplex(_FaceTable):
         if not keys:
             raise ValueError("at least one nonempty facet is required")
         order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
-        faces, cells = cls._close((len(c) - 1, c) for c in order)
-        return cls(faces, cells)
+        return cls(*cls._close((len(c) - 1, c) for c in order))
 
     def link(self, v: int) -> "SimplicialComplex":
-        if frozenset((v,)) not in self.faces:
-            raise UnknownVertex(str(v))
-        return self._link(frozenset((v,)), lambda G: tuple([c for c in G.corners if c != v]))
+        witness = self._witness
+        return self._link(self._vertex(v), lambda G: tuple([c for c in witness[G] if c != v]))
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]
@@ -674,25 +714,24 @@ def least_upper_bound(K: CubicalComplex, u: int, v: int):
     if u == v:
         raise ValueError("least_upper_bound needs two distinct vertices")
     for w in (u, v):
-        if frozenset((w,)) not in K.faces:
-            raise UnknownVertex(str(w))
-    common = [f.key for f in K._star[u] if v in f.key]
+        K._vertex(w)
+    keys = K._keys
+    common = [keys[n] for n in K._star[u] if v in keys[n]]
     if not common:
         return None
     meet = reduce(frozenset.__and__, common)
-    found = K.faces.get(meet)
+    found = K._index.get(meet)
     if found is None:
         raise IntersectionNotAFace(
             f"faces over {{{u}, {v}}} meet in {_fmt_key(meet)}, which is not a face"
         )
-    return found
+    return K._face(found)
 
 
 def link_of_vertex(K: CubicalComplex, v: int) -> SimplicialComplex:
     """Link of a vertex: one (i-1)-simplex per i-face through v, on the
     edges at v.  This is :func:`link_face` of the vertex."""
-    if frozenset((v,)) not in K.faces:
-        raise UnknownVertex(str(v))
+    K._vertex(v)
     return link_face(K, (v,))
 
 
@@ -704,11 +743,12 @@ def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
     G contributes the simplex of the cofacets it contains.
     """
     base = K.face(face_or_key.key if isinstance(face_or_key, Face) else face_or_key)
+    n, keys, dims, key = K._index[base.key], K._keys, K._dims, base.key
     cofacets = sorted(
-        (G.key for G in K._star[base.corners[0]] if G.dim == base.dim + 1 and base.key < G.key),
+        (keys[G] for G in K._star[K._witness[n][0]] if dims[G] == dims[n] + 1 and key < keys[G]),
         key=sorted,
     )
-    return K._link(base.key, lambda G: tuple([i for i, H in enumerate(cofacets) if H <= G.key]))
+    return K._link(n, lambda G: tuple([i for i, H in enumerate(cofacets) if H <= keys[G]]))
 
 
 def boundary_complex(C: Complex) -> Complex:

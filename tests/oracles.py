@@ -236,6 +236,24 @@ def reference_link_euler(faces):
     }
 
 
+def reference_ridge_degrees(faces, cells):
+    """How many maximal cells contain each face one dimension below the top,
+    by brute force over the face dict and the cells."""
+    d = max((c.dim for c in cells), default=-1)
+    return {
+        key: sum(1 for c in cells if key < c.key) for key, F in faces.items() if F.dim == d - 1
+    }
+
+
+def reference_boundary_faces(faces, cells):
+    """The faces of the boundary as ``{key: (dim, corners)}``: every face
+    lying in a ridge that exactly one maximal cell contains."""
+    free = [key for key, n in reference_ridge_degrees(faces, cells).items() if n == 1]
+    return {
+        key: (F.dim, F.corners) for key, F in faces.items() if any(key <= r for r in free)
+    }
+
+
 def reference_macaulay_terms(value, position):
     """The greedy binomial decomposition by linear search: at each position t
     take the largest n with C(n, t) <= what is left."""

@@ -25,7 +25,9 @@ from cubicomb import (
     link_face,
     link_of_vertex,
     pile_of_cubes,
+    run_suite,
     solid_cube,
+    stacked_simplicial_ball,
 )
 from families import cubical_family
 from oracles import brute_least_upper_bounds, brute_pairwise_closed, reference_cubical_closure
@@ -370,3 +372,23 @@ def test_simplicial_rejects_bad_vertices():
         build_simplicial([[0, -2]])
     with pytest.raises(ValueError):
         build_simplicial([])
+
+
+def test_hot_paths_never_build_the_faces_dict():
+    torus = cubical_torus(5, 5, 6, 6)
+    run_suite("all", torus)
+    assert "faces" not in vars(torus.complex)
+    ball = stacked_simplicial_ball(3, 40, gluing="tree", seed=3).complex
+    for v in ball.vertices:
+        ball.link(v)
+    assert "faces" not in vars(ball)
+
+
+def test_faces_view_matches_the_reference_closure_once_built():
+    cells = [CubicalCell(c.dim, c.corners) for c in cubical_torus(3, 3, 4).complex.cells]
+    K = CubicalComplex.from_cells(cells)
+    faces, _ = reference_cubical_closure(cells)
+    assert [(key, f.dim, f.corners) for key, f in K.faces.items()] == [
+        (key, dim, corners) for key, (dim, corners) in faces.items()
+    ]
+    assert all(K.faces[c.key] is c for c in K.cells)

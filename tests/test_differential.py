@@ -11,10 +11,11 @@ have every face link equal to ``oracles.reference_cubical_link`` and every
 vertex link's h- and g-vector equal to the transforms of that link's face
 counts.  Simplicial inputs check links, vertex coface counts and maximal
 facets against their definitions.  On both kinds the link Euler
-characteristics must equal ``oracles.reference_link_euler``, the table
-entries inside each entry must be the ones a subset scan finds, and the
-arithmetic same-cube test must accept exactly the corner orderings with
-the same facets.
+characteristics, the ridge degrees and the boundary faces must equal
+``oracles.reference_link_euler``, ``reference_ridge_degrees`` and
+``reference_boundary_faces``, the table entries inside each entry must be
+the ones a subset scan finds, and the arithmetic same-cube test must accept
+exactly the corner orderings with the same facets.
 Relabelling the vertices of either kind changes no face count and no
 report's name, status or checks.  Generated grid, torus, cube-boundary and
 prism cells equal their coordinate definitions, corner order included.
@@ -31,8 +32,8 @@ from cubicomb import (
     ComplexError,
     CubicalCell,
     CubicalComplex,
-    Face,
     InconsistentSharedFace,
+    NotPure,
     SimplicialComplex,
     build_simplicial,
     cube_boundary,
@@ -55,10 +56,12 @@ from families import simplicial_family
 from oracles import (
     grid_vertex,
     insert_bit,
+    reference_boundary_faces,
     reference_cubical_closure,
     reference_cubical_link,
     reference_facet_keys,
     reference_link_euler,
+    reference_ridge_degrees,
 )
 
 
@@ -234,6 +237,23 @@ def test_cubical_link_euler_matches_its_definition(cells):
         assert list(K.link_euler) == list(K.faces)
 
 
+def check_ridges_and_boundary(K):
+    if not K.pure:
+        with pytest.raises(NotPure):
+            K.ridge_degrees()
+        return
+    assert K.ridge_degrees() == reference_ridge_degrees(K.faces, K.cells)
+    faces = {key: (f.dim, f.corners) for key, f in K.boundary.faces.items()}
+    assert faces == reference_boundary_faces(K.faces, K.cells)
+
+
+@given(cubical_inputs())
+def test_cubical_ridges_and_boundary_match_their_definition(cells):
+    K = valid_complex(cells)
+    if K is not None:
+        check_ridges_and_boundary(K)
+
+
 @given(cubical_inputs())
 def test_cubical_link_vectors_match_their_definition(cells):
     K = valid_complex(cells)
@@ -260,7 +280,7 @@ def test_entries_inside_an_entry_match_a_subset_scan(table, k):
 def same_cube(corners, witness):
     dim = len(corners).bit_length() - 1
     try:
-        _same_cube(Face(frozenset(corners), dim, corners), witness, dim)
+        _same_cube(corners, witness, dim)
     except InconsistentSharedFace:
         return False
     return True
@@ -361,6 +381,11 @@ def test_simplicial_link_euler_matches_its_definition(facets):
     S = build_simplicial(facets)
     assert S.link_euler == reference_link_euler(S.faces)
     assert list(S.link_euler) == list(S.faces)
+
+
+@given(facet_lists)
+def test_simplicial_ridges_and_boundary_match_their_definition(facets):
+    check_ridges_and_boundary(build_simplicial(facets))
 
 
 @given(facet_lists, st.data())

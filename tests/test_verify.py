@@ -2,6 +2,7 @@
 
 import argparse
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,13 @@ from cubicomb import (
 from cubicomb import CubicalCell
 from cubicomb import complexes
 from cubicomb.cli import _build_parser
-from cubicomb.verify import CUBICAL_VERIFIERS, REGISTRY, SIMPLICIAL_VERIFIERS, SUITES
+from cubicomb.verify import (
+    CUBICAL_VERIFIERS,
+    REGISTRY,
+    SIMPLICIAL_VERIFIERS,
+    SUITES,
+    _link_g2_at_most_2,
+)
 from families import cubical_family, simplicial_family
 
 BOWTIE = GeneratedComplex(
@@ -221,6 +228,18 @@ def test_small_g2_glbc():
     assert verify_small_g2_glbc(pile_boundary(2, 2, 1, 1, 1)).status == "pass"
     assert verify_small_g2_glbc(pile_boundary(2, 2, 1)).status == "pass"
     assert verify_small_g2_glbc(cubical_torus(4, 4)).status == "inapplicable"
+
+
+def test_link_g2_gate_names_the_worst_vertex_when_unmet():
+    # Vertex 0 meets eight edges and one square for each pair of them, so its
+    # link is the complete graph on 8 vertices; a disjoint 4-cube makes the
+    # dimension 4, where the link has h = (1, 4, 10, ...) and g_2 = 6.
+    hub = [(0, a, b, x) for x, (a, b) in enumerate(combinations(range(1, 9), 2), start=9)]
+    cells = [CubicalCell(2, c) for c in hub] + [CubicalCell(4, tuple(range(40, 56)))]
+    gc = GeneratedComplex(build_cubical(cells), "none", "hub of squares")
+    assert _link_g2_at_most_2(gc) == Precondition(
+        "every vertex link has g_2 <= 2", False, "max g_2(lk v) = 6 at vertex 0"
+    )
 
 
 def test_small_link_glbc():
