@@ -2,7 +2,7 @@
 
 Exit codes form a stable contract: 0 success / all applicable checks pass,
 1 at least one check fails, 2 usage or input error, 3 every check was
-inapplicable to the input.
+inapplicable to the input, 4 an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -207,6 +207,9 @@ def entry(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault in the program, kept apart from a failed check
+        print(f"error: internal: {e!r}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

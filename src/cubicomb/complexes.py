@@ -4,9 +4,10 @@ A face is identified with its vertex set and carries one corner ordering: a
 cubical witness, whose position ``b`` holds the vertex at cube coordinate
 ``b`` (bits read least significant first), or the sorted simplex vertices.
 Both kinds share the closure, which numbers the faces, the derived views,
-which sweep the numbers, and the boundary; a kind supplies only the subface
-table of a cell.  Cubical validation cross-checks that cells sharing a
-vertex agree on shared faces and meet in a common face.
+which sweep the numbers, and the builder that reads the boundary and simplicial
+vertex links off the numbers; a kind supplies only the subface table of a
+cell.  Cubical validation cross-checks that cells sharing a vertex agree on
+shared faces and meet in a common face.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
@@ -161,18 +162,22 @@ def _entry_at(table, k: int) -> tuple[dict[tuple[int, ...], int], list[tuple[int
 
 
 @lru_cache(maxsize=None)
-def _inside(table, k: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The entries of a k-cell's subface ``table`` inside entry ``e``, split
-    by the parity of their codimension in it: odd first, then even, ``e``
-    itself included.  They are the entries of the table of ``e``'s own
-    dimension read through ``e``'s corner positions."""
+def _inside(table, k: int, e: int) -> tuple[int, ...]:
+    """The entries of a k-cell's subface ``table`` inside entry ``e``, in the
+    order of ``e``'s own table, ``e`` itself first: the entries of the table
+    of ``e``'s dimension read through ``e``'s corner positions."""
     at, spans = _entry_at(table, k)
-    j, pos = table(k)[e][0], spans[e]
-    odd: list[int] = []
-    even: list[int] = []
-    for i, read in table(j):
-        (odd if (j - i) % 2 else even).append(at[read(pos)])
-    return tuple(odd), tuple(even)
+    pos = spans[e]
+    return tuple([at[read(pos)] for _, read in table(table(k)[e][0])])
+
+
+@lru_cache(maxsize=None)
+def _through(k: int, p: int) -> tuple[int, ...]:
+    """The entries of a k-simplex's table through corner position ``p``, but
+    ``p`` alone, in the table order of the (k-1)-simplex on the others."""
+    at = _entry_at(_simplex_tables, k)[0]
+    others = tuple(q for q in range(k + 1) if q != p)
+    return tuple([at[tuple(sorted(read(others) + (p,)))] for _, read in _simplex_tables(k - 1)])
 
 
 @lru_cache(maxsize=None)
@@ -336,15 +341,14 @@ class _FaceTable:
         return cls(*cls._close(()))
 
     @classmethod
-    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]], source=None, conflict=None):
+    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]], conflict=None):
         """Subface closure of ``(dim, corners)`` cells, taken in order.
 
         Returns the numbered table and the row in ``_ids`` of every cell
         whose vertex set was not yet a face when its turn came.  A cell
         whose vertex set was lies in an earlier cell and adds nothing;
         ``conflict(witness, corners, dim)`` sees it, and every other subface
-        met a second time.  With a parent table as ``source`` the vertex
-        sets, witnesses and number objects are the parent's own.
+        met a second time.
 
         A subface met a second time brings its own subfaces along, and once
         it passes ``conflict`` its whole face lattice agrees too, so the
@@ -359,10 +363,6 @@ class _FaceTable:
         witness: list[tuple[int, ...]] = []
         ids = array("i")
         rows = []
-        numbers = range(1 << 31)  # with a source, the parent's own number objects
-        if source is not None:
-            numbers = list(source._index.values())
-            s_index, s_keys, s_witness = source._index, source._keys, source._witness
         add_key, add_dim, add_witness, add_id = keys.append, dims.append, witness.append, ids.append
         for dim, corners in cells:
             n = index.get(frozenset(corners))
@@ -379,32 +379,39 @@ class _FaceTable:
                 key = frozenset(sub)
                 n = index.get(key)
                 if n is None:
-                    if source is not None:
-                        m = s_index[key]
-                        key, sub = s_keys[m], s_witness[m]
-                    n = index[key] = numbers[len(keys)]
+                    n = index[key] = len(keys)
                     add_key(key)
                     add_dim(j)
                     add_witness(sub)
                 elif conflict is not None and e not in known:
                     conflict(witness[n], sub, j)
-                    odd, even = _inside(table, dim, e)
-                    known.update(odd)
-                    known.update(even)
+                    known.update(_inside(table, dim, e))
                 add_id(n)
             for v in corners:
                 n = vertex.get(v)
                 if n is None:
                     key, sub = frozenset((v,)), (v,)
-                    if source is not None:
-                        m = s_index[key]
-                        key, sub = s_keys[m], s_witness[m]
-                    n = vertex[v] = index[key] = numbers[len(keys)]
+                    n = vertex[v] = index[key] = len(keys)
                     add_key(key)
                     add_dim(0)
                     add_witness(sub)
                 add_id(n)
         return (index, keys, dims, witness, ids), rows
+
+    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]], name):
+        """A subcomplex read off this table with no closure lookups: each cell
+        is a row here and the offsets in it of the cell's own subface entries,
+        in its table order.  The faces are numbered as those entries first
+        meet them; ``name`` takes their numbers here to their vertex sets, a
+        ``bytearray`` of their dimensions and their witnesses."""
+        ids, seq, rows = self._ids, array("i"), []
+        for row, offsets in cells:
+            rows.append(len(seq))
+            seq.extend([ids[row + s] for s in offsets])
+        number = dict(zip(dict.fromkeys(seq), range(len(seq))))
+        keys, dims, witness = name(list(number))
+        index = dict(zip(keys, number.values()))
+        return (index, keys, dims, witness, array("i", map(number.__getitem__, seq))), rows
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
@@ -466,15 +473,6 @@ class _FaceTable:
                 star[v].append(n)
         return star
 
-    def _link(self, n: int, names: Callable[[int], tuple[int, ...]]) -> "SimplicialComplex":
-        """The upper interval above face ``n``: every coface G gives the
-        simplex ``names(G)``, a sorted tuple.  The cofaces are closed
-        largest first, so the closure keeps only the maximal simplices."""
-        keys, key = self._keys, self._keys[n]
-        cofaces = [G for G in self._star[self._witness[n][0]] if key < keys[G]]
-        simplices = map(names, sorted(cofaces, key=self._dims.__getitem__, reverse=True))
-        return SimplicialComplex(*SimplicialComplex._close((len(s) - 1, s) for s in simplices))
-
     @cached_property
     def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
         """For each vertex, how many i-faces contain it, i = 0..dim.
@@ -496,11 +494,11 @@ class _FaceTable:
 
         A face G of dimension g contributes a (g - f - 1)-dimensional link
         face to each of its f-dimensional subfaces, the empty link face
-        included when G equals the subface.  The sweep reads every cell's
-        entry numbers and sweeps every face once, from the first cell that
-        holds it, adding 1 to the entries inside it at odd codimension and
-        -1 to those at even codimension, itself included.  The result is
-        keyed like ``faces``, in the same order.
+        included when G equals the subface, so the link of F has reduced
+        Euler characteristic -(-1)^f times the sum of (-1)^g over the faces G
+        that contain F.  The sweep reads every cell's entry numbers and sweeps
+        every face once, from the first cell that holds it, adding (-1)^g to
+        the entries inside it.  The result is keyed like ``faces``, in order.
         """
         ids, dims, table = self._ids, self._dims, self._table
         acc = [0] * len(dims)
@@ -512,12 +510,10 @@ class _FaceTable:
                 if swept[f]:
                     continue
                 swept[f] = 1
-                odd, even = _inside(table, k, e)
-                for s in odd:
-                    acc[own[s]] += 1
-                for s in even:
-                    acc[own[s]] -= 1
-        return dict(zip(self._keys, acc))
+                sign = -1 if dims[f] & 1 else 1
+                for s in _inside(table, k, e):
+                    acc[own[s]] += sign
+        return dict(zip(self._keys, [x if j & 1 else -x for x, j in zip(acc, dims)]))
 
     @cached_property
     def pure(self) -> bool:
@@ -528,14 +524,20 @@ class _FaceTable:
         """How many facets contain each ridge.  Needs a pure complex."""
         if not self.pure:
             raise NotPure("ridge degrees are only defined for pure complexes")
-        return self._ridge_degrees
+        return self._ridges[0]
 
     @cached_property
-    def _ridge_degrees(self) -> dict[FaceKey, int]:
-        ids, keys, dims, ridges = self._ids, self._keys, self._dims, []
-        for row in self._rows:
-            ridges += [keys[ids[row + e]] for e in _facet_tables(self._table, dims[ids[row]])]
-        return Counter(ridges)
+    def _ridges(self) -> tuple[dict[FaceKey, int], tuple[int, ...], array]:
+        """One sweep over the facet entries of a pure complex's rows: how many
+        facets hold each ridge, the facet entries, and the place i in the sweep
+        of each ridge in one facet, at row i // len(facets), i % len(facets)."""
+        ids, keys = self._ids, self._keys
+        facets = _facet_tables(self._table, self.dim) if self._rows else ()
+        ridges = [keys[ids[row + e]] for row in self._rows for e in facets]
+        degrees = Counter(ridges)
+        # Where each ridge was last met; a ridge in one facet is met once.
+        met = dict(zip(ridges, range(len(ridges)))) if 1 in degrees.values() else {}
+        return degrees, facets, array("i", [met[key] for key, n in degrees.items() if n == 1])
 
     @cached_property
     def pseudomanifold(self) -> bool:
@@ -546,7 +548,7 @@ class _FaceTable:
             return False
         if self.dim == 0:
             return len(self.vertices) == 2
-        return all(n == 2 for n in self._ridge_degrees.values())
+        return all(n == 2 for n in self._ridges[0].values())
 
     @cached_property
     def semi_eulerian(self) -> bool:
@@ -564,11 +566,24 @@ class _FaceTable:
 
     @cached_property
     def boundary(self):
-        """Closure of the ridges lying in exactly one facet; empty when closed."""
-        dims, witness, index = self._dims, self._witness, self._index
-        free = [index[key] for key, n in self.ridge_degrees().items() if n == 1]
-        # Closed up from this complex's own keys, witnesses and numbers rather than copies.
-        return type(self)(*self._close([(dims[n], witness[n]) for n in free], self))
+        """Closure of the ridges lying in exactly one facet; empty when closed.
+        A free ridge at entry e of its one facet takes the entries inside e as
+        its own, or, when a contained cell met it first with another witness,
+        the entries at its corner positions in the facet."""
+        self.ridge_degrees()  # refuses a complex that is not pure
+        ids, keys, dims, witness = self._ids, self._keys, self._dims, self._witness
+        table, d, (_, facets, free) = self._table, self.dim, self._ridges
+        cells = []
+        for row, e in ((self._rows[i // len(facets)], facets[i % len(facets)]) for i in free):
+            corners, sub = witness[ids[row]], witness[ids[row + e]]
+            if table(d)[e][1](corners) == sub:
+                cells.append((row, _inside(table, d, e)))
+            else:
+                at, pos = _entry_at(table, d)[0], tuple(map(corners.index, sub))
+                cells.append((row, [at[tuple(sorted(read(pos)))] for _, read in table(d - 1)]))
+        return type(self)(*self._subcomplex(cells, lambda order: (
+            [keys[m] for m in order], bytearray(dims[m] for m in order), [witness[m] for m in order]
+        )))
 
 
 class CubicalComplex(_FaceTable):
@@ -678,9 +693,29 @@ class SimplicialComplex(_FaceTable):
         order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
         return cls(*cls._close((len(c) - 1, c) for c in order))
 
+    @cached_property
+    def _cells_at(self) -> dict[int, list[int]]:
+        """The rows of the inclusion-maximal cells of dimension at least 1
+        through each vertex, largest first and then in number order."""
+        ids, dims, witness = self._ids, self._dims, self._witness
+        at: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for row in sorted(self._rows, key=lambda r: (-dims[ids[r]], ids[r])):
+            for v in witness[ids[row]] if dims[ids[row]] else ():
+                at[v].append(row)
+        return at
+
     def link(self, v: int) -> "SimplicialComplex":
-        witness = self._witness
-        return self._link(self._vertex(v), lambda G: tuple([c for c in witness[G] if c != v]))
+        """The faces through ``v`` with ``v`` taken out: each maximal cell
+        through ``v``, in ``_cells_at`` order, gives its entries through ``v``."""
+        keys, dims, ids, witness = self._keys, self._dims, self._ids, self._witness
+        drop = keys[self._vertex(v)]
+        cells = [(r, _through(dims[ids[r]], witness[ids[r]].index(v))) for r in self._cells_at[v]]
+
+        def name(order):
+            link = [keys[m] - drop for m in order]
+            return link, bytearray(dims[m] - 1 for m in order), [tuple(sorted(k)) for k in link]
+
+        return SimplicialComplex(*self._subcomplex(cells, name))
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]
@@ -743,12 +778,14 @@ def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
     G contributes the simplex of the cofacets it contains.
     """
     base = K.face(face_or_key.key if isinstance(face_or_key, Face) else face_or_key)
-    n, keys, dims, key = K._index[base.key], K._keys, K._dims, base.key
-    cofacets = sorted(
-        (keys[G] for G in K._star[K._witness[n][0]] if dims[G] == dims[n] + 1 and key < keys[G]),
-        key=sorted,
+    keys, dims, key = K._keys, K._dims, base.key
+    cofaces = [G for G in K._star[base.corners[0]] if key < keys[G]]
+    cofacets = sorted((keys[G] for G in cofaces if dims[G] == base.dim + 1), key=sorted)
+    simplices = (  # closed largest first, so the closure keeps only the maximal ones
+        tuple([i for i, H in enumerate(cofacets) if H <= keys[G]])
+        for G in sorted(cofaces, key=dims.__getitem__, reverse=True)
     )
-    return K._link(n, lambda G: tuple([i for i, H in enumerate(cofacets) if H <= keys[G]]))
+    return SimplicialComplex(*SimplicialComplex._close((len(s) - 1, s) for s in simplices))
 
 
 def boundary_complex(C: Complex) -> Complex:

@@ -135,7 +135,7 @@ def brute_least_upper_bounds(faces, u, v):
 
 
 @cache
-def _cube_subfaces(k):
+def cube_subfaces(k):
     """(dim, corner positions) of every subface of a k-cube in the order the
     builder walks them: dimension descending, then free coordinates in
     combination order, then the fixed bits counted up.  Cached; read only."""
@@ -153,10 +153,56 @@ def _cube_subfaces(k):
     return out
 
 
+@cache
+def simplex_subfaces(k):
+    """(dim, corner positions) of every nonempty face of a k-simplex in the
+    order the builder walks them: size descending, then combination order."""
+    return [(r - 1, c) for r in range(k + 1, 0, -1) for c in combinations(range(k + 1), r)]
+
+
+def reference_numbering(cells, kind):
+    """A plain re-closure of ``(dim, corners)`` cells taken in order, with
+    no checks: a cell whose vertex set is already a face adds nothing, and
+    every other cell numbers each subface it meets first.
+
+    Returns ``(faces, ids, cells)``: ``(key, dim, corners)`` per face number,
+    the numbers of every kept cell's subface entries one after another, and
+    the kept cells as ``(dim, corners)`` by dimension, then sorted vertices.
+    """
+    subfaces = cube_subfaces if kind == "cubical" else simplex_subfaces
+    number, faces, ids, kept = {}, [], [], []
+    for dim, corners in cells:
+        if frozenset(corners) in number:
+            continue
+        kept.append((dim, tuple(corners)))
+        for j, pos in subfaces(dim):
+            sub = tuple(corners[i] for i in pos)
+            key = frozenset(sub)
+            if key not in number:
+                number[key] = len(faces)
+                faces.append((key, j, sub))
+            ids.append(number[key])
+    return faces, ids, sorted(kept, key=lambda c: (c[0], sorted(c[1])))
+
+
+def reference_free_ridges(cells, kind):
+    """The vertex sets of the ridges lying in exactly one of the ``(dim,
+    corners)`` cells of a pure complex, in the order a sweep over the cells
+    and then their facets in subface order first meets them."""
+    subfaces = cube_subfaces if kind == "cubical" else simplex_subfaces
+    degree = {}
+    for dim, corners in cells:
+        for j, pos in subfaces(dim):
+            if j == dim - 1:
+                key = frozenset(corners[i] for i in pos)
+                degree[key] = degree.get(key, 0) + 1
+    return [key for key, n in degree.items() if n == 1]
+
+
 def reference_facet_keys(corners, dim):
     """The vertex sets of a cube's facets; two corner orderings of one vertex
     set make the same cube exactly when these agree (dim >= 2)."""
-    return {frozenset(corners[i] for i in pos) for j, pos in _cube_subfaces(dim) if j == dim - 1}
+    return {frozenset(corners[i] for i in pos) for j, pos in cube_subfaces(dim) if j == dim - 1}
 
 
 def reference_cubical_closure(cells):
@@ -179,7 +225,7 @@ def reference_cubical_closure(cells):
 
     def derive(cell):
         keys = set()
-        for j, pos in _cube_subfaces(cell.dim):
+        for j, pos in cube_subfaces(cell.dim):
             sub = tuple(cell.corners[i] for i in pos)
             key = frozenset(sub)
             keys.add(key)

@@ -54,15 +54,59 @@ from cubicomb.complexes import _inside, _same_cube, _simplex_tables, _subface_ta
 from cubicomb.generators import _grid_cells
 from families import simplicial_family
 from oracles import (
+    cube_subfaces,
     grid_vertex,
     insert_bit,
     reference_boundary_faces,
     reference_cubical_closure,
     reference_cubical_link,
     reference_facet_keys,
+    reference_free_ridges,
     reference_link_euler,
+    reference_numbering,
     reference_ridge_degrees,
+    simplex_subfaces,
 )
+
+
+def numbering(C):
+    """A built complex's number order: ``(key, dim, corners)`` per face
+    number, the numbers of its cells' subface entries, and its cells."""
+    faces = list(zip(C._keys, C._dims, C._witness))
+    return faces, list(C._ids), [(c.dim, c.corners) for c in C.cells]
+
+
+def largest_first(faces):
+    """``(key, dim, corners)`` faces by descending dimension, ties in number order."""
+    return sorted(faces, key=lambda f: -f[1])
+
+
+def reclosed_boundary(C):
+    """The boundary re-closed from the parent's witnesses of its free
+    ridges, every face keeping the parent's witness."""
+    faces, _, cells = numbering(C)
+    witness = {key: (dim, corners) for key, dim, corners in faces}
+    free = reference_free_ridges(cells, C.kind)
+    faces, ids, cells = reference_numbering([witness[key] for key in free], C.kind)
+    return [(key, *witness[key]) for key, _, _ in faces], ids, cells
+
+
+def reclosed_vertex_link(S, v):
+    """The link of ``v`` re-closed from the cofaces of ``v`` with ``v`` removed."""
+    cofaces = [f for f in largest_first(numbering(S)[0]) if v in f[0] and f[1] > 0]
+    return reference_numbering(
+        [(dim - 1, tuple(c for c in corners if c != v)) for _, dim, corners in cofaces],
+        "simplicial",
+    )
+
+
+def reclosed_face_link(K, key):
+    """The link of the face ``key`` re-closed from its cofaces, each named
+    by the indices of the cofacets it contains."""
+    cofaces = [G for G, _, _ in largest_first(numbering(K)[0]) if key < G]
+    cofacets = sorted((G for G in cofaces if len(G) == 2 * len(key)), key=sorted)
+    names = [tuple(i for i, H in enumerate(cofacets) if H <= G) for G in cofaces]
+    return reference_numbering([(len(s) - 1, s) for s in names], "simplicial")
 
 
 def grid_cells(sides, wrap):
@@ -226,7 +270,9 @@ def test_cubical_links_match_their_definition(cells):
     K = valid_complex(cells)
     if K is not None:
         for key in K.faces:
-            assert set(link_face(K, key).faces) == reference_cubical_link(K.faces, key)
+            link = link_face(K, key)
+            assert set(link.faces) == reference_cubical_link(K.faces, key)
+            assert numbering(link) == reclosed_face_link(K, key)
 
 
 @given(cubical_inputs())
@@ -245,6 +291,7 @@ def check_ridges_and_boundary(K):
     assert K.ridge_degrees() == reference_ridge_degrees(K.faces, K.cells)
     faces = {key: (f.dim, f.corners) for key, f in K.boundary.faces.items()}
     assert faces == reference_boundary_faces(K.faces, K.cells)
+    assert numbering(K.boundary) == reclosed_boundary(K)
 
 
 @given(cubical_inputs())
@@ -252,6 +299,17 @@ def test_cubical_ridges_and_boundary_match_their_definition(cells):
     K = valid_complex(cells)
     if K is not None:
         check_ridges_and_boundary(K)
+
+
+def test_boundary_of_a_cube_met_first_through_a_contained_square():
+    # The square comes first in a symmetric corner order, so its stored
+    # witness is not the one the cube reads for it.
+    cells = [CubicalCell(2, (2, 0, 3, 1)), CubicalCell(3, tuple(range(8)))]
+    K = CubicalComplex.from_cells(cells)
+    assert K.face({0, 1, 2, 3}).corners == (2, 0, 3, 1)
+    assert numbering(K)[:2] == reference_numbering([(c.dim, c.corners) for c in cells], "cubical")[:2]
+    check_ridges_and_boundary(K)
+    assert K.boundary.face({0, 1, 2, 3}).corners == (2, 0, 3, 1)
 
 
 @given(cubical_inputs())
@@ -268,13 +326,14 @@ def test_cubical_link_vectors_match_their_definition(cells):
 @pytest.mark.parametrize("k", range(6))
 def test_entries_inside_an_entry_match_a_subset_scan(table, k):
     positions = tuple(range(1 << k))  # covers the corners of a k-cube and a k-simplex
-    entries = [(j, set(read(positions))) for j, read in table(k)]
-    for e, (j, span) in enumerate(entries):
-        odd, even = [], []
-        for s, (i, sub) in enumerate(entries):
-            if sub <= span:
-                (odd if (j - i) % 2 else even).append(s)
-        assert tuple(map(sorted, _inside(table, k, e))) == (odd, even)
+    spans = [read(positions) for _, read in table(k)]
+    subfaces = cube_subfaces if table is _subface_tables else simplex_subfaces
+    for e, (j, _) in enumerate(table(k)):
+        inside = _inside(table, k, e)
+        assert sorted(inside) == [s for s, sub in enumerate(spans) if set(sub) <= set(spans[e])]
+        # In the order of the entry's own table, read through its corners.
+        own = [frozenset(spans[e][q] for q in pos) for _, pos in subfaces(j)]
+        assert [frozenset(spans[s]) for s in inside] == own
 
 
 def same_cube(corners, witness):
@@ -346,10 +405,13 @@ def check_against_definitions(S, facets):
     assert set(S.faces) == brute_faces(keys)
     assert {c.key for c in S.cells} == {f for f in keys if not any(f < g for g in keys)}
     assert all(c.corners == tuple(sorted(c.key)) for c in S.faces.values())
+    order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
+    assert numbering(S) == reference_numbering([(len(c) - 1, c) for c in order], "simplicial")
     for v in S.vertices:
         expect = {f - {v} for f in S.faces if v in f} - {frozenset()}
         link = S.link(v)
         assert set(link.faces) == expect
+        assert numbering(link) == reclosed_vertex_link(S, v)
         # The link face counts are the vertex's coface counts up to the last nonzero one.
         counts = list(S.vertex_coface_counts[v][1:])
         assert tuple(counts[: len(counts) - counts.count(0)]) == link.f_counts()

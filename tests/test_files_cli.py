@@ -26,7 +26,7 @@ from cubicomb import (
     solid_cube,
     stacked_simplicial_ball,
 )
-from cubicomb import complexes, files
+from cubicomb import cli, complexes, files
 from cubicomb.cli import entry
 from families import cubical_family, simplicial_family
 
@@ -99,6 +99,15 @@ def test_parse_error_on_a_file_that_is_not_utf8(tmp_path, capsys):
         parse(path)
     assert entry(["compute", "f", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: not UTF-8")
+
+
+def test_cli_reports_any_other_exception_as_an_internal_error_with_exit_4(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\non two lines")
+
+    monkeypatch.setattr(cli, "_cmd_compute", broken)
+    assert entry(["compute", "f", "unread.json"]) == 4
+    assert capsys.readouterr().err == "error: internal: RuntimeError('boom\\non two lines')\n"
 
 
 def test_parse_error_on_schema_problems():

@@ -1,4 +1,4 @@
-"""``tools/paired.py`` on two stub trees: run order, spreads, wins and exit codes.
+"""``tools/paired.py`` on two stub trees: run order, spreads, wins, claims and exit codes.
 
 The command is a stub that logs which tree ran it and prints the next
 entry of its tree's ``values.json`` as a ``bench/run.py`` metrics line.
@@ -65,6 +65,30 @@ def test_paired_alternates_and_summarises(tmp_path):
     assert items["change_won"] == 1 and t["change_won"] == 1
     assert items["pairs"] == 3
     assert items["median_ratio"] == 1.0 and t["median_ratio"] == 1.0
+    assert not items["claim_met"] and not t["claim_met"]
+
+
+def test_paired_claims_a_gain_only_past_the_base_quartile_spread(tmp_path):
+    # BASE reads 10..19 on every metric: median 14.5, quartiles 12.25 and
+    # 16.75, so a claim needs a median gap over 4.5.
+    def run(items, t, u):
+        return {"metrics": {"items_per_s": items, "t": t, "u": u}}
+
+    base = [run(10 + i, 10 + i, 10 + i) for i in range(10)]
+    # items_per_s: every pair won by 5; t: every pair won by 1; u: won by 6
+    # but pairs 1 and 2 tie, so only 8 of 10 are won.
+    change = [run(15 + i, 9 + i, 10 + i if i in (1, 2) else 4 + i) for i in range(10)]
+    trees(tmp_path, base, change)
+    done = paired(tmp_path, 10)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    items, t, u = summary["items_per_s"], summary["t"], summary["u"]
+    assert (items["change_won"], items["claim_met"]) == (10, True)
+    assert (t["change_won"], t["claim_met"]) == (10, False)
+    assert (u["change_won"], u["claim_met"]) == (8, False)
+    lines = {line.split(" ")[0]: line for line in done.stdout.splitlines()}
+    assert lines["items_per_s"].endswith("claim met")
+    assert lines["t"].endswith("claim not met")
 
 
 def test_paired_passes_a_failing_run_exit_code_through(tmp_path):

@@ -388,13 +388,12 @@ def _run_one_by_one(x):
 @pytest.mark.parametrize("runner", [_run_all, _run_one_by_one])
 def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
     builds, sweeps = [], []
-    close = complexes._FaceTable._close.__func__
+    sub = complexes._FaceTable._subcomplex
     facet_tables = complexes._facet_tables
 
-    def counted_close(cls, cells, source=None, conflict=None):
-        if source is not None:  # a subcomplex of a built complex: the boundary
-            builds.append(cls)
-        return close(cls, cells, source, conflict)
+    def counted_sub(self, cells, name):
+        builds.append(type(self))  # a subcomplex read off a built complex: the boundary
+        return sub(self, cells, name)
 
     def counted_facet_tables(table, k):
         sweeps.append(k)
@@ -402,11 +401,11 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
 
     ball = pile_of_cubes(3, 2, 2)
     sphere = pile_boundary(3, 2, 2)
-    monkeypatch.setattr(complexes._FaceTable, "_close", classmethod(counted_close))
+    monkeypatch.setattr(complexes._FaceTable, "_subcomplex", counted_sub)
     monkeypatch.setattr(complexes, "_facet_tables", counted_facet_tables)
     runner(ball)
     assert builds == [complexes.CubicalComplex]  # the boundary, built once
-    assert len(sweeps) == len(ball.complex.cells)  # one ridge-degree sweep
+    assert sweeps == [ball.complex.dim]  # one ridge sweep, which also finds the free ridges
     table = _CountedItems(sphere.complex.link_euler)
     vars(sphere.complex)["link_euler"] = table
     runner(sphere)

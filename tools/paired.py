@@ -19,7 +19,10 @@ from the ``end_to_end`` and ``per_layer`` lists of ``BENCHMARK.json`` in
 CHANGE; anything else, ``wall_s`` included, is better lower.
 
 For each metric and side it prints the median and the quartiles, then the
-pairs CHANGE won and the median of the per-pair ratio CHANGE / BASE.  The
+pairs CHANGE won, the median of the per-pair ratio CHANGE / BASE, and
+whether a gain may be claimed (``claim_met``): CHANGE won at least nine
+tenths of the pairs, ties counting for neither side, and its median is
+better than BASE's by more than the distance between BASE's quartiles.  The
 last line of standard output is the same summary as one JSON object.  A run
 that exits nonzero stops the script with its exit code.
 """
@@ -100,13 +103,16 @@ def main(argv: list[str] | None = None) -> int:
         sign = 1 if name in higher else -1
         won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         ratios = [c / b for b, c in zip(base, change) if b]
+        base_spread, change_spread = spread(base), spread(change)
+        gap = sign * (change_spread["median"] - base_spread["median"])
         summary[name] = {
             "better": "higher" if sign > 0 else "lower",
-            "base": spread(base),
-            "change": spread(change),
+            "base": base_spread,
+            "change": change_spread,
             "change_won": won,
             "pairs": args.n,
             "median_ratio": statistics.median(ratios) if ratios else None,
+            "claim_met": 10 * won >= 9 * args.n and gap > base_spread["q3"] - base_spread["q1"],
         }
         row = summary[name]
         sides_text = "  ".join(
@@ -116,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         ratio = f"{row['median_ratio']:.4f}" if ratios else "n/a"
         print(
             f"{name} ({row['better']} is better): {sides_text}  "
-            f"change won {won}/{args.n}, median ratio {ratio}"
+            f"change won {won}/{args.n}, median ratio {ratio}, "
+            f"claim {'met' if row['claim_met'] else 'not met'}"
         )
     print(json.dumps(summary))
     return 0
