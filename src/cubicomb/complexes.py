@@ -326,8 +326,8 @@ class _FaceTable:
 
     def __init__(self, numbered, rows: Iterable[int]):
         self._index, self._keys, self._dims, self._witness, self._ids = numbered
-        keys, dims, ids = self._keys, self._dims, self._ids
-        self._rows = array("i", sorted(rows, key=lambda r: (dims[ids[r]], sorted(keys[ids[r]]))))
+        witness, dims, ids = self._witness, self._dims, self._ids
+        self._rows = array("i", sorted(rows, key=lambda r: (dims[ids[r]], sorted(witness[ids[r]]))))
         self.dim: int = max(dims, default=-1)
 
     @cached_property
@@ -605,9 +605,9 @@ class CubicalComplex(_FaceTable):
         the whole face family under intersection and that every lower
         interval is a cube face lattice.
 
-        Trusted callers (subcomplexes of already validated complexes) may
-        skip the pairwise check; ``cells`` must then be inclusion-maximal and
-        mutually consistent.
+        Without ``validate`` nothing is checked: ``cells`` must come from a
+        validated complex and be inclusion-maximal, since a cell listed
+        before one that contains it stays a cell.
         """
         distinct: dict[FaceKey, CubicalCell] = {}
         repeated: list[CubicalCell] = []
@@ -627,8 +627,10 @@ class CubicalComplex(_FaceTable):
             [(c.dim, c.corners) for c in cell_list + repeated],
             conflict=_same_cube if validate else None,
         )
+        if not validate:
+            return cls(numbered, rows)
         index, ids = numbered[0], numbered[-1]
-        maximal = _check_pairs(cell_list, keys, index) if validate else [True] * len(cell_list)
+        maximal = _check_pairs(cell_list, keys, index)
         row_of = {ids[r]: r for r in rows}
         return cls(numbered, [row_of[index[k]] for k, keep in zip(keys, maximal) if keep])
 

@@ -9,7 +9,7 @@ subcomplexes, which inherit validity from their parent complex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 
@@ -42,14 +42,17 @@ __all__ = [
     "prism",
 ]
 
-TOPOLOGY_TAGS = (
-    "sphere",
-    "ball",
-    "torus",
-    "closed-manifold",
-    "manifold-with-boundary",
-    "none",
-)
+# The topology tags, each mapped to the tag of its product with a segment.
+_PRISM_TOPOLOGY = {
+    "sphere": "manifold-with-boundary",
+    "ball": "ball",
+    "torus": "manifold-with-boundary",
+    "closed-manifold": "manifold-with-boundary",
+    "manifold-with-boundary": "none",
+    "none": "none",
+}
+
+TOPOLOGY_TAGS = tuple(_PRISM_TOPOLOGY)
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,17 @@ def check_topology_metadata(gc: GeneratedComplex) -> None:
             raise ValidationFailed("topology 'manifold-with-boundary' needs a nonempty boundary")
 
 
+def _sphere(ball: GeneratedComplex, provenance: str) -> GeneratedComplex:
+    """The boundary of ``ball``, tagged a sphere and polytopal exactly when
+    ``ball`` is; it inherits its validity from the validated ball."""
+    return GeneratedComplex(ball.complex.boundary, "sphere", provenance, ball.polytopal)
+
+
 def cube_boundary(n: int) -> GeneratedComplex:
     """Boundary of the n-cube: the 2n facets obtained by fixing one coordinate."""
     if n < 1:
         raise ValueError("cube_boundary needs n >= 1")
-    cells = []
-    for axis in range(n):
-        free = _subset_sums(1 << q for q in range(n) if q != axis)
-        for side in (0, 1):
-            cells.append(CubicalCell(n - 1, tuple(m + (side << axis) for m in free)))
-    K = build_cubical(cells)
-    return GeneratedComplex(K, "sphere", f"cube_boundary({n})", polytopal=True)
+    return _sphere(solid_cube(n), f"cube_boundary({n})")
 
 
 def solid_cube(n: int) -> GeneratedComplex:
@@ -157,9 +160,8 @@ def pile_of_cubes(*sides: int) -> GeneratedComplex:
 
 def pile_boundary(*sides: int) -> GeneratedComplex:
     """Boundary sphere of a pile of cubes."""
-    K = pile_of_cubes(*sides).complex.boundary
     label = ", ".join(str(a) for a in sides)
-    return GeneratedComplex(K, "sphere", f"pile_boundary({label})", polytopal=True)
+    return _sphere(pile_of_cubes(*sides), f"pile_boundary({label})")
 
 
 def cubical_torus(*sides: int) -> GeneratedComplex:
@@ -175,12 +177,9 @@ def stacked_cubical(n_cells: int, rank: int) -> tuple[GeneratedComplex, Generate
     """A row of n_cells rank-dimensional cubes and its boundary sphere."""
     if n_cells < 1 or rank < 1:
         raise ValueError("stacked_cubical needs n_cells >= 1 and rank >= 1")
-    ball = pile_of_cubes(n_cells, *(1,) * (rank - 1)).complex
+    ball = pile_of_cubes(n_cells, *(1,) * (rank - 1))
     label = f"stacked_cubical({n_cells}, {rank})"
-    return (
-        GeneratedComplex(ball, "ball", label + " ball", polytopal=True),
-        GeneratedComplex(ball.boundary, "sphere", label + " boundary", polytopal=True),
-    )
+    return replace(ball, provenance=label + " ball"), _sphere(ball, label + " boundary")
 
 
 def simplex(d: int) -> GeneratedComplex:
@@ -195,9 +194,7 @@ def simplex_boundary(d: int) -> GeneratedComplex:
     """Boundary of the d-simplex, a (d-1)-sphere."""
     if d < 1:
         raise ValueError("simplex_boundary needs d >= 1")
-    verts = range(d + 1)
-    S = build_simplicial([[v for v in verts if v != skip] for skip in verts])
-    return GeneratedComplex(S, "sphere", f"simplex_boundary({d})", polytopal=True)
+    return _sphere(simplex(d), f"simplex_boundary({d})")
 
 
 def cross_polytope_boundary(d: int) -> GeneratedComplex:
@@ -264,18 +261,7 @@ def stacked_sphere(d: int, n_vertices: int) -> GeneratedComplex:
     if n_vertices < d + 2:
         raise ValueError("a stacked d-sphere needs at least d + 2 vertices")
     ball = stacked_simplicial_ball(d + 1, n_vertices - d - 1)
-    S = ball.complex.boundary
-    return GeneratedComplex(S, "sphere", f"stacked_sphere({d}, {n_vertices})")
-
-
-_PRISM_TOPOLOGY = {
-    "ball": "ball",
-    "sphere": "manifold-with-boundary",
-    "torus": "manifold-with-boundary",
-    "closed-manifold": "manifold-with-boundary",
-    "manifold-with-boundary": "none",
-    "none": "none",
-}
+    return _sphere(ball, f"stacked_sphere({d}, {n_vertices})")
 
 
 def prism(base: GeneratedComplex) -> GeneratedComplex:

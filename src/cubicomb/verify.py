@@ -30,31 +30,6 @@ from .vectors import (
 )
 from .vectors import _neg_pow
 
-__all__ = [
-    "is_pure",
-    "is_pseudomanifold",
-    "is_semi_eulerian",
-    "is_eulerian",
-    "verify_adin_ds",
-    "verify_vertex_pair_bound",
-    "verify_vertex_lower_bound",
-    "verify_face_lower_bounds",
-    "verify_h_vector_identities",
-    "verify_stacked_link_plateau",
-    "verify_four_sphere_glbc",
-    "verify_middle_glbc",
-    "verify_alternating_g_sum",
-    "verify_small_g2_glbc",
-    "verify_small_link_glbc",
-    "verify_simplicial_boundary_ds",
-    "verify_cubical_boundary_ds",
-    "verify_cubical_ball_ds",
-    "CUBICAL_VERIFIERS",
-    "SIMPLICIAL_VERIFIERS",
-    "SUITES",
-    "run_suite",
-]
-
 
 def is_pure(C) -> bool:
     """All inclusion-maximal faces share the top dimension."""
@@ -566,3 +541,11 @@ def run_suite(suite: str, x) -> list[VerificationReport]:
     if suite_kind != kind:
         raise ValueError(f"suite {suite!r} applies to {suite_kind} complexes, got {kind}")
     return [fn(x) for fn in fns]
+
+
+# The verifiers are exported under the names of their checks functions.
+__all__ = [
+    "is_pure", "is_pseudomanifold", "is_semi_eulerian", "is_eulerian",
+    *(v.checks.__name__ for v in REGISTRY),
+    "CUBICAL_VERIFIERS", "SIMPLICIAL_VERIFIERS", "SUITES", "run_suite",
+]

@@ -392,3 +392,11 @@ def test_faces_view_matches_the_reference_closure_once_built():
         (key, dim, corners) for key, (dim, corners) in faces.items()
     ]
     assert all(K.faces[c.key] is c for c in K.cells)
+
+
+def test_unvalidated_cells_drop_a_cell_listed_after_one_that_contains_it():
+    cells = [CubicalCell(2, (0, 1, 2, 3)), CubicalCell(1, (0, 1))]
+    K = CubicalComplex.from_cells(cells, validate=False)
+    assert [c.corners for c in K.cells] == [(0, 1, 2, 3)]
+    assert K.f_counts() == (4, 4, 1)
+    assert K == CubicalComplex.from_cells(cells)

@@ -485,3 +485,15 @@ def test_cli_requires_a_command(capsys):
     capsys.readouterr()
     assert entry(["--help"]) == 0
     assert "gen" in capsys.readouterr().out
+
+
+def test_readme_family_and_invariant_lists_match_the_cli():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def names_after(label):
+        paragraph = readme.split(label, 1)[1].split("\n\n", 1)[0]
+        names = [item.split()[0] for item in paragraph.split("`")[1::2]]
+        return [name for name in names if not name.startswith("--")]
+
+    assert sorted(names_after("`gen` families:")) == sorted(cli.FAMILIES)
+    assert names_after("`compute` invariants:") == list(cli.INVARIANTS)

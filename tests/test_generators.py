@@ -210,6 +210,31 @@ def test_metadata_rejects_wrong_tags():
     check_topology_metadata(GeneratedComplex(ball.complex, "none", "always fine"))
 
 
+def test_every_sphere_family_is_the_boundary_of_its_ball():
+    cubical_ball, cubical_sphere = stacked_cubical(3, 2)
+    for sphere, ball in [
+        (cube_boundary(3), solid_cube(3)),
+        (simplex_boundary(4), simplex(4)),
+        (pile_boundary(3, 2), pile_of_cubes(3, 2)),
+        (cubical_sphere, cubical_ball),
+        (stacked_sphere(3, 8), stacked_simplicial_ball(4, 4)),
+    ]:
+        boundary = ball.complex.boundary
+        assert sphere.complex == boundary, sphere.provenance
+        assert [c.corners for c in sphere.complex.cells] == [c.corners for c in boundary.cells]
+        assert (sphere.topology, sphere.polytopal) == ("sphere", ball.polytopal)
+
+
+def test_cube_boundary_facets_fix_one_coordinate():
+    for n in range(1, 6):
+        facets = {
+            tuple(c for c in range(1 << n) if (c >> axis) & 1 == side)
+            for axis in range(n)
+            for side in (0, 1)
+        }
+        assert {c.corners for c in cube_boundary(n).complex.cells} == facets
+
+
 def test_provenance_strings_are_informative():
     assert cube_boundary(4).provenance == "cube_boundary(4)"
     assert pile_of_cubes(2, 1).provenance == "pile_of_cubes(2, 1)"
