@@ -12,7 +12,8 @@ shared faces and meet in a common face.
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
-lazily and cached on the object.
+lazily and cached on the object; the boundary and the simplicial vertex
+links name their faces (vertex sets and witnesses) on first use.
 """
 
 from __future__ import annotations
@@ -315,20 +316,41 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], index) -> list[b
 
 class _FaceTable:
     """The face table both kinds share: every face numbered in the order the
-    closure met it, with its vertex set, dimension and witness corners; the
-    numbers of the subface table entries of every cell in ``_ids``, each
-    inclusion-maximal cell's starting at its entry in ``_rows``; and the
-    views derived from them, the cached ones computed on first use.
+    closure met it, with its dimension in ``_dims`` and its names, vertex set
+    and witness corners; the numbers of the subface table entries of every
+    cell in ``_ids``, each inclusion-maximal cell's starting at its entry in
+    ``_maximal``, sorted into ``_rows`` on first use; and the views derived
+    from them, the cached ones computed on first use.
+
+    The names (``_index``, ``_keys``, ``_witness``) come from one function
+    called on first use and kept in ``_names``: the closure hands over its
+    lists, and the boundary or a simplicial vertex link references its
+    parent's ``_keys`` and ``_witness``, not copies, until then.  ``dim``,
+    ``f_counts``, ``pure`` and ``repr`` read no names; ``cells``, ``faces``,
+    ``in``, ``face``, ``==`` and the other views name the table.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
     a cell, the cell itself first and its vertices last, in corner order.
     """
 
-    def __init__(self, numbered, rows: Iterable[int]):
-        self._index, self._keys, self._dims, self._witness, self._ids = numbered
-        witness, dims, ids = self._witness, self._dims, self._ids
-        self._rows = array("i", sorted(rows, key=lambda r: (dims[ids[r]], sorted(witness[ids[r]]))))
+    def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], names):
+        self._dims, self._ids, self._maximal, self._name = dims, ids, rows, names
         self.dim: int = max(dims, default=-1)
+
+    @cached_property
+    def _names(self) -> tuple[dict[FaceKey, int], list[FaceKey], list[tuple[int, ...]]]:
+        """``(index, keys, witness)`` from the names function, which it drops."""
+        return vars(self).pop("_name")()
+
+    _index = property(lambda self: self._names[0])
+    _keys = property(lambda self: self._names[1])
+    _witness = property(lambda self: self._names[2])
+
+    @cached_property
+    def _rows(self) -> array:
+        """The rows of the maximal cells, by dimension and then sorted vertices."""
+        dims, ids, witness = self._dims, self._ids, self._witness
+        return array("i", sorted(self._maximal, key=lambda r: (dims[ids[r]], sorted(witness[ids[r]]))))
 
     @cached_property
     def cells(self) -> tuple[Face, ...]:
@@ -344,8 +366,8 @@ class _FaceTable:
     def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]], conflict=None):
         """Subface closure of ``(dim, corners)`` cells, taken in order.
 
-        Returns the numbered table and the row in ``_ids`` of every cell
-        whose vertex set was not yet a face when its turn came.  A cell
+        Returns ``_dims``, ``_ids``, the row in ``_ids`` of each cell whose
+        vertex set was not yet a face, and a function giving the names.  A cell
         whose vertex set was lies in an earlier cell and adds nothing;
         ``conflict(witness, corners, dim)`` sees it, and every other subface
         met a second time.
@@ -362,7 +384,7 @@ class _FaceTable:
         dims = bytearray()
         witness: list[tuple[int, ...]] = []
         ids = array("i")
-        rows = []
+        rows = array("i")
         add_key, add_dim, add_witness, add_id = keys.append, dims.append, witness.append, ids.append
         for dim, corners in cells:
             n = index.get(frozenset(corners))
@@ -396,22 +418,27 @@ class _FaceTable:
                     add_dim(0)
                     add_witness(sub)
                 add_id(n)
-        return (index, keys, dims, witness, ids), rows
+        return dims, ids, rows, lambda: (index, keys, witness)
 
-    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]], name):
+    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]], name, shift: int = 0):
         """A subcomplex read off this table with no closure lookups: each cell
         is a row here and the offsets in it of the cell's own subface entries,
         in its table order.  The faces are numbered as those entries first
-        meet them; ``name`` takes their numbers here to their vertex sets, a
-        ``bytearray`` of their dimensions and their witnesses."""
-        ids, seq, rows = self._ids, array("i"), []
+        meet them, each a dimension ``shift`` below its own here; on first use
+        ``name`` takes their numbers here to their vertex sets and witnesses."""
+        ids, dims, seq, rows = self._ids, self._dims, array("i"), array("i")
         for row, offsets in cells:
             rows.append(len(seq))
             seq.extend([ids[row + s] for s in offsets])
-        number = dict(zip(dict.fromkeys(seq), range(len(seq))))
-        keys, dims, witness = name(list(number))
-        index = dict(zip(keys, number.values()))
-        return (index, keys, dims, witness, array("i", map(number.__getitem__, seq))), rows
+        order = list(dict.fromkeys(seq))
+        number = dict(zip(order, range(len(order))))
+
+        def names():
+            keys, witness = name(order)
+            return dict(zip(keys, range(len(keys)))), keys, witness
+
+        sub_dims = bytearray([dims[m] - shift for m in order])
+        return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
@@ -518,7 +545,7 @@ class _FaceTable:
     @cached_property
     def pure(self) -> bool:
         """All inclusion-maximal faces share the top dimension."""
-        return all(self._dims[self._ids[r]] == self.dim for r in self._rows)
+        return all(self._dims[self._ids[r]] == self.dim for r in self._maximal)
 
     def ridge_degrees(self) -> dict[FaceKey, int]:
         """How many facets contain each ridge.  Needs a pure complex."""
@@ -571,7 +598,7 @@ class _FaceTable:
         its own, or, when a contained cell met it first with another witness,
         the entries at its corner positions in the facet."""
         self.ridge_degrees()  # refuses a complex that is not pure
-        ids, keys, dims, witness = self._ids, self._keys, self._dims, self._witness
+        ids, keys, witness = self._ids, self._keys, self._witness
         table, d, (_, facets, free) = self._table, self.dim, self._ridges
         cells = []
         for row, e in ((self._rows[i // len(facets)], facets[i % len(facets)]) for i in free):
@@ -581,9 +608,9 @@ class _FaceTable:
             else:
                 at, pos = _entry_at(table, d)[0], tuple(map(corners.index, sub))
                 cells.append((row, [at[tuple(sorted(read(pos)))] for _, read in table(d - 1)]))
-        return type(self)(*self._subcomplex(cells, lambda order: (
-            [keys[m] for m in order], bytearray(dims[m] for m in order), [witness[m] for m in order]
-        )))
+        return type(self)(*self._subcomplex(
+            cells, lambda order: ([keys[m] for m in order], [witness[m] for m in order])
+        ))
 
 
 class CubicalComplex(_FaceTable):
@@ -623,16 +650,16 @@ class CubicalComplex(_FaceTable):
             )
         # A repeated vertex set is already a face when its turn comes, so the
         # closure only checks that it describes the same cube.
-        numbered, rows = cls._close(
+        dims, ids, rows, names = cls._close(
             [(c.dim, c.corners) for c in cell_list + repeated],
             conflict=_same_cube if validate else None,
         )
         if not validate:
-            return cls(numbered, rows)
-        index, ids = numbered[0], numbered[-1]
+            return cls(dims, ids, rows, names)
+        index = names()[0]
         maximal = _check_pairs(cell_list, keys, index)
         row_of = {ids[r]: r for r in rows}
-        return cls(numbered, [row_of[index[k]] for k, keep in zip(keys, maximal) if keep])
+        return cls(dims, ids, [row_of[index[k]] for k, keep in zip(keys, maximal) if keep], names)
 
     @cached_property
     def h_short(self) -> HVector:
@@ -701,7 +728,7 @@ class SimplicialComplex(_FaceTable):
         through each vertex, largest first and then in number order."""
         ids, dims, witness = self._ids, self._dims, self._witness
         at: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for row in sorted(self._rows, key=lambda r: (-dims[ids[r]], ids[r])):
+        for row in sorted(self._maximal, key=lambda r: (-dims[ids[r]], ids[r])):
             for v in witness[ids[row]] if dims[ids[row]] else ():
                 at[v].append(row)
         return at
@@ -715,9 +742,9 @@ class SimplicialComplex(_FaceTable):
 
         def name(order):
             link = [keys[m] - drop for m in order]
-            return link, bytearray(dims[m] - 1 for m in order), [tuple(sorted(k)) for k in link]
+            return link, [tuple(sorted(k)) for k in link]
 
-        return SimplicialComplex(*self._subcomplex(cells, name))
+        return SimplicialComplex(*self._subcomplex(cells, name, 1))
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]

@@ -28,6 +28,7 @@ from cubicomb import (
     run_suite,
     solid_cube,
     stacked_simplicial_ball,
+    verify_cubical_boundary_ds,
 )
 from families import cubical_family
 from oracles import brute_least_upper_bounds, brute_pairwise_closed, reference_cubical_closure
@@ -382,6 +383,22 @@ def test_hot_paths_never_build_the_faces_dict():
     for v in ball.vertices:
         ball.link(v)
     assert "faces" not in vars(ball)
+
+
+def test_counted_links_and_boundaries_never_name_their_faces():
+    S = stacked_simplicial_ball(4, 60, gluing="tree", seed=3).complex
+    links = [S.link(v) for v in S.vertices]
+    counts = [link.f_counts() for link in links]
+    ball = stacked_simplicial_ball(4, 60, seed=5)
+    run_suite("ns-ds", ball)
+    pile = pile_of_cubes(3, 2, 2)
+    verify_cubical_boundary_ds(pile)
+    assert "boundary" in vars(ball.complex) and "boundary" in vars(pile.complex)
+    for sub in links + [ball.complex.boundary, pile.complex.boundary]:
+        assert "_names" not in vars(sub) and "_rows" not in vars(sub)
+    # Named afterwards, a link gives the same counts and lets go of its parent's lists.
+    assert [len(link.faces) for link in links] == [sum(c) for c in counts]
+    assert not any("_name" in vars(link) for link in links)
 
 
 def test_faces_view_matches_the_reference_closure_once_built():

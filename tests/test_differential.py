@@ -16,9 +16,12 @@ characteristics, the ridge degrees and the boundary faces must equal
 ``reference_boundary_faces``, the table entries inside each entry must be
 the ones a subset scan finds, and the arithmetic same-cube test must accept
 exactly the corner orderings with the same facets.
-Relabelling the vertices of either kind changes no face count and no
-report's name, status or checks.  Generated grid, torus, cube-boundary and
-prism cells equal their coordinate definitions, corner order included.
+Links and boundaries have their face counts, dimension and purity read
+before anything names their faces, then their whole numbering compared, and
+must equal a copy named first.  Relabelling the vertices of either kind
+changes no face count and no report's name, status or checks.  Generated
+grid, torus, cube-boundary and prism cells equal their coordinate
+definitions, corner order included.
 """
 
 from itertools import combinations, permutations, product
@@ -74,6 +77,27 @@ def numbering(C):
     number, the numbers of its cells' subface entries, and its cells."""
     faces = list(zip(C._keys, C._dims, C._witness))
     return faces, list(C._ids), [(c.dim, c.corners) for c in C.cells]
+
+
+def read_counts_first(build):
+    """A table from ``build()`` whose face counts, dimension and purity are
+    read before anything names its faces, and those reads; a second table
+    from ``build()``, named first, must give the same reads and equal it."""
+    counted = build()
+    reads = counted.f_counts(), counted.dim, counted.pure
+    assert "_names" not in vars(counted)
+    named = build()
+    named.faces
+    assert (named.f_counts(), named.dim, named.pure) == reads
+    assert counted == named
+    return counted, reads
+
+
+def reference_reads(faces, ids, cells):
+    """The face counts, dimension and purity of a reference numbering."""
+    dim = max((f[1] for f in faces), default=-1)
+    counts = tuple(sum(f[1] == i for f in faces) for i in range(dim + 1))
+    return counts, dim, all(c[0] == dim for c in cells)
 
 
 def largest_first(faces):
@@ -270,9 +294,10 @@ def test_cubical_links_match_their_definition(cells):
     K = valid_complex(cells)
     if K is not None:
         for key in K.faces:
-            link = link_face(K, key)
+            link, reads = read_counts_first(lambda: link_face(K, key))
+            expect = reclosed_face_link(K, key)
+            assert numbering(link) == expect and reads == reference_reads(*expect)
             assert set(link.faces) == reference_cubical_link(K.faces, key)
-            assert numbering(link) == reclosed_face_link(K, key)
 
 
 @given(cubical_inputs())
@@ -289,9 +314,12 @@ def check_ridges_and_boundary(K):
             K.ridge_degrees()
         return
     assert K.ridge_degrees() == reference_ridge_degrees(K.faces, K.cells)
-    faces = {key: (f.dim, f.corners) for key, f in K.boundary.faces.items()}
+    boundary, reads = read_counts_first(lambda: type(K).boundary.func(K))
+    expect = reclosed_boundary(K)
+    assert numbering(boundary) == expect and reads == reference_reads(*expect)
+    faces = {key: (f.dim, f.corners) for key, f in boundary.faces.items()}
     assert faces == reference_boundary_faces(K.faces, K.cells)
-    assert numbering(K.boundary) == reclosed_boundary(K)
+    assert K.boundary == boundary
 
 
 @given(cubical_inputs())
@@ -408,10 +436,10 @@ def check_against_definitions(S, facets):
     order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
     assert numbering(S) == reference_numbering([(len(c) - 1, c) for c in order], "simplicial")
     for v in S.vertices:
-        expect = {f - {v} for f in S.faces if v in f} - {frozenset()}
-        link = S.link(v)
-        assert set(link.faces) == expect
-        assert numbering(link) == reclosed_vertex_link(S, v)
+        link, reads = read_counts_first(lambda: S.link(v))
+        reclosed = reclosed_vertex_link(S, v)
+        assert numbering(link) == reclosed and reads == reference_reads(*reclosed)
+        assert set(link.faces) == {f - {v} for f in S.faces if v in f} - {frozenset()}
         # The link face counts are the vertex's coface counts up to the last nonzero one.
         counts = list(S.vertex_coface_counts[v][1:])
         assert tuple(counts[: len(counts) - counts.count(0)]) == link.f_counts()

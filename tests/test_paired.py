@@ -1,4 +1,4 @@
-"""``tools/paired.py`` on two stub trees: run order, spreads, wins, claims and exit codes.
+"""``tools/paired.py`` on two stub trees: run order, spreads, wins, claims, bounds and exit codes.
 
 The command is a stub that logs which tree ran it and prints the next
 entry of its tree's ``values.json`` as a ``bench/run.py`` metrics line.
@@ -27,12 +27,15 @@ sys.exit(run.get("exit", 0))
 """
 
 
-def trees(tmp_path, base_runs, change_runs):
+ITEMS = {"name": "items_per_s", "better": "higher"}
+
+
+def trees(tmp_path, base_runs, change_runs, end_to_end=(ITEMS,)):
     for name, runs in (("base", base_runs), ("change", change_runs)):
         root = tmp_path / name
         root.mkdir()
         (root / "values.json").write_text(json.dumps(runs))
-    spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}], "per_layer": []}
+    spec = {"end_to_end": list(end_to_end), "per_layer": []}
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
     (tmp_path / "stub.py").write_text(STUB)
 
@@ -88,6 +91,31 @@ def test_paired_claims_a_gain_only_past_the_base_quartile_spread(tmp_path):
     assert (u["change_won"], u["claim_met"]) == (8, False)
     lines = {line.split(" ")[0]: line for line in done.stdout.splitlines()}
     assert lines["items_per_s"].endswith("claim met")
+    assert lines["t"].endswith("claim not met")
+
+
+def test_paired_flags_a_regression_past_a_bound_by_the_medians(tmp_path):
+    def run(items, p50, t):
+        return {"metrics": {"items_per_s": items, "item_p50_s": p50, "t": t}}
+
+    # items_per_s falls 30% in the median against a 0.25 bound; item_p50_s
+    # rises 20% against the same bound, and one pair rising 50% does not
+    # move the median; t has no bound.
+    base = [run(100, 1.0, 1.0)] * 3
+    change = [run(70, 1.2, 9.0), run(70, 1.5, 9.0), run(70, 1.2, 9.0)]
+    trees(tmp_path, base, change, (
+        {"name": "items_per_s", "better": "higher", "bound": 0.25},
+        {"name": "item_p50_s", "better": "lower", "bound": 0.25},
+    ))
+    done = paired(tmp_path, 3)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["items_per_s"]["regressed"] is True
+    assert summary["item_p50_s"]["regressed"] is False
+    assert "regressed" not in summary["t"] and "regressed" not in summary["wall_s"]
+    lines = {line.split(" ")[0]: line for line in done.stdout.splitlines()}
+    assert lines["items_per_s"].endswith("claim not met, regressed past bound 0.25")
+    assert lines["item_p50_s"].endswith("claim not met, within bound 0.25")
     assert lines["t"].endswith("claim not met")
 
 

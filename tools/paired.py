@@ -22,7 +22,10 @@ For each metric and side it prints the median and the quartiles, then the
 pairs CHANGE won, the median of the per-pair ratio CHANGE / BASE, and
 whether a gain may be claimed (``claim_met``): CHANGE won at least nine
 tenths of the pairs, ties counting for neither side, and its median is
-better than BASE's by more than the distance between BASE's quartiles.  The
+better than BASE's by more than the distance between BASE's quartiles.  For
+every ``end_to_end`` metric with a ``bound`` it also says whether CHANGE
+``regressed``: its median is worse than BASE's median by more than ``bound``
+times BASE's median, which is a regression past the benchmark's bound.  The
 last line of standard output is the same summary as one JSON object.  A run
 that exits nonzero stops the script with its exit code.
 """
@@ -57,13 +60,16 @@ def run(root: Path, command: list[str]) -> dict[str, float]:
     return values
 
 
-def higher_is_better(root: Path) -> set[str]:
+def metric_rules(root: Path) -> tuple[set[str], dict[str, float]]:
+    """The metrics of ``BENCHMARK.json`` under ``root`` that are better
+    higher, and the bound of every end-to-end metric that has one."""
     try:
         spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     except FileNotFoundError:
-        return set()
+        return set(), {}
     entries = spec.get("end_to_end", []) + spec.get("per_layer", [])
-    return {m["name"] for m in entries if m.get("better") == "higher"}
+    bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
+    return {m["name"] for m in entries if m.get("better") == "higher"}, bounds
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -95,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"# pair {i + 1} {side}: " + json.dumps(runs[side][-1]), flush=True)
 
     names = [m for m in runs["change"][0] if m in runs["base"][0]]
-    higher = higher_is_better(sides["change"])
+    higher, bounds = metric_rules(sides["change"])
     summary = {}
     for name in names:
         base = [r[name] for r in runs["base"]]
@@ -115,6 +121,11 @@ def main(argv: list[str] | None = None) -> int:
             "claim_met": 10 * won >= 9 * args.n and gap > base_spread["q3"] - base_spread["q1"],
         }
         row = summary[name]
+        verdict = ""
+        if name in bounds:
+            row["regressed"] = -gap > bounds[name] * abs(base_spread["median"])
+            past = "regressed past" if row["regressed"] else "within"
+            verdict = f", {past} bound {bounds[name]:g}"
         sides_text = "  ".join(
             f"{side} {row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
             for side in ("base", "change")
@@ -123,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name} ({row['better']} is better): {sides_text}  "
             f"change won {won}/{args.n}, median ratio {ratio}, "
-            f"claim {'met' if row['claim_met'] else 'not met'}"
+            f"claim {'met' if row['claim_met'] else 'not met'}{verdict}"
         )
     print(json.dumps(summary))
     return 0
