@@ -4,16 +4,18 @@ A face is identified with its vertex set and carries one corner ordering: a
 cubical witness, whose position ``b`` holds the vertex at cube coordinate
 ``b`` (bits read least significant first), or the sorted simplex vertices.
 Both kinds share the closure, which numbers the faces, the derived views,
-which sweep the numbers, and the builder that reads the boundary and simplicial
-vertex links off the numbers; a kind supplies only the subface table of a
-cell.  Cubical validation cross-checks that cells sharing a vertex agree on
-shared faces and meet in a common face.
+which sweep the numbers, and the builder that reads a subcomplex off the
+parent's rows; a kind supplies only the subface table of a cell.  The
+boundary and a simplicial vertex link, the faces opposite the vertex, are
+both such subcomplexes.  Cubical validation cross-checks that cells sharing
+a vertex agree on shared faces and meet in a common face.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
 lazily and cached on the object; the boundary and the simplicial vertex
-links name their faces (vertex sets and witnesses) on first use.
+links name their faces on first use, from the parent's vertex sets and
+witnesses.
 """
 
 from __future__ import annotations
@@ -173,15 +175,6 @@ def _inside(table, k: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _through(k: int, p: int) -> tuple[int, ...]:
-    """The entries of a k-simplex's table through corner position ``p``, but
-    ``p`` alone, in the table order of the (k-1)-simplex on the others."""
-    at = _entry_at(_simplex_tables, k)[0]
-    others = tuple(q for q in range(k + 1) if q != p)
-    return tuple([at[tuple(sorted(read(others) + (p,)))] for _, read in _simplex_tables(k - 1)])
-
-
-@lru_cache(maxsize=None)
 def _facet_tables(table, k: int) -> tuple[int, ...]:
     """The indices of the codimension-one entries of a k-cell's subface ``table``."""
     return tuple(e for e, (j, _) in enumerate(table(k)) if j == k - 1)
@@ -255,9 +248,9 @@ def _cube_symmetry(q: tuple[int, ...]) -> bool:
     return moved == list(q) and sorted(steps) == [1 << t for t in range(dim)]
 
 
-def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], index) -> list[bool]:
-    """Check every two cells that share a vertex, in input order, and flag
-    the cells that lie inside another.
+def _check_pairs(cells: list[int], index, keys, witness) -> list[bool]:
+    """Check every two cells that share a vertex, given by their face numbers
+    in input order, and flag the cells that lie inside another.
 
     A vertex -> (cell, corner position) index gives, for cell a and every
     later cell b sharing a vertex with it, the number n of shared vertices
@@ -270,14 +263,15 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], index) -> list[b
     """
     at: dict[int, list[tuple[int, int]]] = {}
     for b in range(len(cells) - 1, -1, -1):
-        for q, v in enumerate(cells[b].corners):
+        for q, v in enumerate(witness[cells[b]]):
             at.setdefault(v, []).append((b, q))
     maximal = [True] * len(cells)
     for a, cell in enumerate(cells):
         # Each vertex list runs by descending cell, so a's own entry is last
         # and everything before it belongs to a later cell.
+        corners = witness[cell]
         shared: dict[int, list[int]] = {}
-        for p, v in enumerate(cell.corners):
+        for p, v in enumerate(corners):
             later = at[v]
             later.pop()
             for b, q in later:
@@ -291,16 +285,16 @@ def _check_pairs(cells: list[CubicalCell], keys: list[FaceKey], index) -> list[b
                     acc[3] |= q
                     acc[4] &= q
         bad = []
-        size = len(cell.corners)
+        size = len(corners)
         for b, (n, or_a, and_a, or_b, and_b) in shared.items():
             if n != 1 << (or_a ^ and_a).bit_count() or n != 1 << (or_b ^ and_b).bit_count():
                 bad.append(b)
             elif n == size:
                 maximal[a] = False
-            elif n == len(cells[b].corners):
+            elif n == len(witness[cells[b]]):
                 maximal[b] = False
         if bad:
-            ka, kb = keys[a], keys[min(bad)]
+            ka, kb = keys[cell], keys[cells[min(bad)]]
             inter = ka & kb
             if inter not in index:
                 raise IntersectionNotAFace(
@@ -324,10 +318,10 @@ class _FaceTable:
 
     The names (``_index``, ``_keys``, ``_witness``) come from one function
     called on first use and kept in ``_names``: the closure hands over its
-    lists, and the boundary or a simplicial vertex link references its
-    parent's ``_keys`` and ``_witness``, not copies, until then.  ``dim``,
-    ``f_counts``, ``pure`` and ``repr`` read no names; ``cells``, ``faces``,
-    ``in``, ``face``, ``==`` and the other views name the table.
+    lists, and a subcomplex (the boundary or a simplicial vertex link) takes
+    its parent's objects from the parent's ``_keys`` and ``_witness``.
+    ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names; ``cells``,
+    ``faces``, ``in``, ``face``, ``==`` and the other views name the table.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
     a cell, the cell itself first and its vertices last, in corner order.
@@ -370,12 +364,7 @@ class _FaceTable:
         vertex set was not yet a face, and a function giving the names.  A cell
         whose vertex set was lies in an earlier cell and adds nothing;
         ``conflict(witness, corners, dim)`` sees it, and every other subface
-        met a second time.
-
-        A subface met a second time brings its own subfaces along, and once
-        it passes ``conflict`` its whole face lattice agrees too, so the
-        table entries inside it are not checked again.  The table order is
-        kept, and with it the first error.
+        met a second time, in table order.
         """
         table = cls._table
         index: dict[FaceKey, int] = {}
@@ -394,9 +383,8 @@ class _FaceTable:
                 continue
             rows.append(len(ids))
             entries = table(dim)
-            known: set[int] = set()
             # Every entry but the last len(corners), which are the vertices.
-            for e, (j, read) in zip(range(len(entries) - len(corners)), entries):
+            for j, read in entries[: len(entries) - len(corners)]:
                 sub = read(corners)
                 key = frozenset(sub)
                 n = index.get(key)
@@ -405,9 +393,8 @@ class _FaceTable:
                     add_key(key)
                     add_dim(j)
                     add_witness(sub)
-                elif conflict is not None and e not in known:
+                elif conflict is not None:
                     conflict(witness[n], sub, j)
-                    known.update(_inside(table, dim, e))
                 add_id(n)
             for v in corners:
                 n = vertex.get(v)
@@ -420,24 +407,26 @@ class _FaceTable:
                 add_id(n)
         return dims, ids, rows, lambda: (index, keys, witness)
 
-    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]], name, shift: int = 0):
+    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]]):
         """A subcomplex read off this table with no closure lookups: each cell
         is a row here and the offsets in it of the cell's own subface entries,
         in its table order.  The faces are numbered as those entries first
-        meet them, each a dimension ``shift`` below its own here; on first use
-        ``name`` takes their numbers here to their vertex sets and witnesses."""
+        meet them, and on first use they are named from this table's
+        ``_keys`` and ``_witness``: the same objects, not copies."""
         ids, dims, seq, rows = self._ids, self._dims, array("i"), array("i")
         for row, offsets in cells:
             rows.append(len(seq))
             seq.extend([ids[row + s] for s in offsets])
         order = list(dict.fromkeys(seq))
         number = dict(zip(order, range(len(order))))
+        # The lists, not self: a boundary cached on its parent must not hold it.
+        keys, witness = self._keys, self._witness
 
         def names():
-            keys, witness = name(order)
-            return dict(zip(keys, range(len(keys)))), keys, witness
+            sub = [keys[m] for m in order]
+            return dict(zip(sub, range(len(sub)))), sub, [witness[m] for m in order]
 
-        sub_dims = bytearray([dims[m] - shift for m in order])
+        sub_dims = bytearray([dims[m] for m in order])
         return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
 
     def __repr__(self) -> str:
@@ -598,7 +587,7 @@ class _FaceTable:
         its own, or, when a contained cell met it first with another witness,
         the entries at its corner positions in the facet."""
         self.ridge_degrees()  # refuses a complex that is not pure
-        ids, keys, witness = self._ids, self._keys, self._witness
+        ids, witness = self._ids, self._witness
         table, d, (_, facets, free) = self._table, self.dim, self._ridges
         cells = []
         for row, e in ((self._rows[i // len(facets)], facets[i % len(facets)]) for i in free):
@@ -608,9 +597,7 @@ class _FaceTable:
             else:
                 at, pos = _entry_at(table, d)[0], tuple(map(corners.index, sub))
                 cells.append((row, [at[tuple(sorted(read(pos)))] for _, read in table(d - 1)]))
-        return type(self)(*self._subcomplex(
-            cells, lambda order: ([keys[m] for m in order], [witness[m] for m in order])
-        ))
+        return type(self)(*self._subcomplex(cells))
 
 
 class CubicalComplex(_FaceTable):
@@ -643,7 +630,7 @@ class CubicalComplex(_FaceTable):
                 raise TypeError("from_cells expects CubicalCell values")
             if distinct.setdefault(cell.key, cell) is not cell:
                 repeated.append(cell)
-        keys, cell_list = list(distinct), list(distinct.values())
+        cell_list = list(distinct.values())
         if not cell_list:
             raise ValueError(
                 "at least one cell is required; use CubicalComplex.empty() for the empty complex"
@@ -654,12 +641,11 @@ class CubicalComplex(_FaceTable):
             [(c.dim, c.corners) for c in cell_list + repeated],
             conflict=_same_cube if validate else None,
         )
-        if not validate:
-            return cls(dims, ids, rows, names)
-        index = names()[0]
-        maximal = _check_pairs(cell_list, keys, index)
-        row_of = {ids[r]: r for r in rows}
-        return cls(dims, ids, [row_of[index[k]] for k, keep in zip(keys, maximal) if keep], names)
+        if validate:
+            # A cell inside an earlier one has no row, and any pair it fails
+            # its container fails first in scan order.
+            rows = list(compress(rows, _check_pairs([ids[r] for r in rows], *names())))
+        return cls(dims, ids, rows, names)
 
     @cached_property
     def h_short(self) -> HVector:
@@ -734,17 +720,17 @@ class SimplicialComplex(_FaceTable):
         return at
 
     def link(self, v: int) -> "SimplicialComplex":
-        """The faces through ``v`` with ``v`` taken out: each maximal cell
-        through ``v``, in ``_cells_at`` order, gives its entries through ``v``."""
-        keys, dims, ids, witness = self._keys, self._dims, self._ids, self._witness
-        drop = keys[self._vertex(v)]
-        cells = [(r, _through(dims[ids[r]], witness[ids[r]].index(v))) for r in self._cells_at[v]]
-
-        def name(order):
-            link = [keys[m] - drop for m in order]
-            return link, [tuple(sorted(k)) for k in link]
-
-        return SimplicialComplex(*self._subcomplex(cells, name, 1))
+        """The faces opposite ``v``, those F without ``v`` where F | {v} is a
+        face: each maximal cell through ``v``, in ``_cells_at`` order, gives
+        the entries inside its facet opposite ``v``.  That facet of a
+        k-simplex with ``v`` at corner position p is table entry k + 1 - p."""
+        dims, ids, witness = self._dims, self._ids, self._witness
+        self._vertex(v)
+        cells = []
+        for r in self._cells_at[v]:
+            k = dims[ids[r]]
+            cells.append((r, _inside(_simplex_tables, k, k + 1 - witness[ids[r]].index(v))))
+        return SimplicialComplex(*self._subcomplex(cells))
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]

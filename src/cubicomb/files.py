@@ -73,15 +73,12 @@ def serialize(x, path) -> None:
         fh.write(serializes(x))
 
 
-def _need(doc: dict, field: str, types, where: str = "") -> Any:
+def _need(doc: dict, field: str, types) -> Any:
     if field not in doc:
-        raise ParseError(f"missing field {field!r}", where=where or None)
+        raise ParseError(f"missing field {field!r}")
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ParseError(
-            f"field {field!r} has the wrong type, got {type(value).__name__}",
-            where=where or None,
-        )
+        raise ParseError(f"field {field!r} has the wrong type, got {type(value).__name__}")
     return value
 
 

@@ -1,5 +1,7 @@
 """Core complex construction, validation, links and boundaries."""
 
+import gc
+import weakref
 from itertools import permutations
 
 import pytest
@@ -19,6 +21,7 @@ from cubicomb import (
     boundary_complex,
     build_cubical,
     build_simplicial,
+    cross_polytope_boundary,
     cube_boundary,
     cubical_torus,
     least_upper_bound,
@@ -117,6 +120,24 @@ def closure_or_error(build):
             [SQUARE, CubicalCell(2, (0, 4, 5, 3)), CubicalCell(2, (0, 6, 7, 1))],
             IntersectionNotAFace,
             "cells {0, 1, 2, 3} and {0, 3, 4, 5} intersect in {0, 3}, which is not a face",
+        ),
+        # the edge {0, 1} lies in the first square and is a diagonal of the
+        # other; listed after the square it adds no cell, and the square fails
+        (
+            [SQUARE, CubicalCell(1, (0, 1)), CubicalCell(2, (0, 4, 5, 1))],
+            InconsistentSharedFace,
+            "intersection {0, 1} of cells {0, 1, 2, 3} and {0, 1, 4, 5} is not a common subface",
+        ),
+        (
+            [SQUARE, CubicalCell(2, (0, 4, 5, 1)), CubicalCell(1, (0, 1))],
+            InconsistentSharedFace,
+            "intersection {0, 1} of cells {0, 1, 2, 3} and {0, 1, 4, 5} is not a common subface",
+        ),
+        # listed first, the edge is a cell of its own and its pair comes first
+        (
+            [CubicalCell(1, (0, 1)), SQUARE, CubicalCell(2, (0, 4, 5, 1))],
+            InconsistentSharedFace,
+            "intersection {0, 1} of cells {0, 1} and {0, 1, 4, 5} is not a common subface",
         ),
     ],
 )
@@ -399,6 +420,36 @@ def test_counted_links_and_boundaries_never_name_their_faces():
     # Named afterwards, a link gives the same counts and lets go of its parent's lists.
     assert [len(link.faces) for link in links] == [sum(c) for c in counts]
     assert not any("_name" in vars(link) for link in links)
+
+
+@pytest.mark.parametrize(
+    "generated", [stacked_simplicial_ball(4, 60, gluing="tree", seed=3), cross_polytope_boundary(3)]
+)
+def test_a_vertex_link_is_made_of_its_parents_faces(generated):
+    S = generated.complex
+    for v in S.vertices:
+        link = S.link(v)
+        assert set(link.faces) == {F for F in S.faces if v not in F and F | {v} in S}
+        for F in link.faces.values():
+            G = S.face(F.key)
+            assert F.key is G.key and F.corners is G.corners
+
+
+def test_a_cached_boundary_does_not_keep_its_parent_alive():
+    # With a reference cycle, every complex a run builds would stay until the
+    # cycle collector ran.
+    cubes = [CubicalCell(c.dim, c.corners) for c in pile_of_cubes(3, 2, 2).complex.cells]
+    facets = [c.corners for c in stacked_simplicial_ball(3, 7, seed=2).complex.cells]
+    gc.disable()
+    try:
+        for build in (lambda: build_cubical(cubes), lambda: build_simplicial(facets)):
+            K = build()
+            assert K.boundary.f_counts()
+            parent = weakref.ref(K)
+            del K
+            assert parent() is None
+    finally:
+        gc.enable()
 
 
 def test_faces_view_matches_the_reference_closure_once_built():

@@ -391,9 +391,9 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
     sub = complexes._FaceTable._subcomplex
     facet_tables = complexes._facet_tables
 
-    def counted_sub(self, cells, name):
+    def counted_sub(self, cells):
         builds.append(type(self))  # a subcomplex read off a built complex: the boundary
-        return sub(self, cells, name)
+        return sub(self, cells)
 
     def counted_facet_tables(table, k):
         sweeps.append(k)
