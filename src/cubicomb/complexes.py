@@ -7,8 +7,8 @@ Both kinds share the closure, which numbers the faces, the derived views,
 which sweep the numbers, and the builder that reads a subcomplex off the
 parent's rows; a kind supplies only the subface table of a cell.  The
 boundary and a simplicial vertex link, the faces opposite the vertex, are
-both such subcomplexes.  Cubical validation cross-checks that cells sharing
-a vertex agree on shared faces and meet in a common face.
+both such subcomplexes.  The closure refuses a face two cells read as
+different cubes; cubical validation checks that cells meet in a common face.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
@@ -226,10 +226,10 @@ class Face:
     corners: tuple[int, ...]
 
 
-def _same_cube(first: tuple[int, ...], sub: tuple[int, ...], dim: int) -> None:
-    """Refuse a second corner ordering ``sub`` of a face whose witness is
-    ``first`` unless, read as positions in ``first``, it is a cube symmetry."""
-    if dim >= 2 and first != sub and not _cube_symmetry(tuple(map(first.index, sub))):
+def _same_cube(first: tuple[int, ...], sub: tuple[int, ...]) -> None:
+    """Refuse ``sub``, a second corner ordering of a cube with witness
+    ``first``, unless read as positions in ``first`` it is a symmetry."""
+    if not _cube_symmetry(tuple(map(first.index, sub))):
         raise InconsistentSharedFace(
             f"cells induce different cube structures on the shared vertex set {_fmt_key(first)}"
         )
@@ -357,14 +357,14 @@ class _FaceTable:
         return cls(*cls._close(()))
 
     @classmethod
-    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]], conflict=None):
+    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]]):
         """Subface closure of ``(dim, corners)`` cells, taken in order.
 
         Returns ``_dims``, ``_ids``, the row in ``_ids`` of each cell whose
         vertex set was not yet a face, and a function giving the names.  A cell
-        whose vertex set was lies in an earlier cell and adds nothing;
-        ``conflict(witness, corners, dim)`` sees it, and every other subface
-        met a second time, in table order.
+        whose vertex set was lies in an earlier cell and adds nothing.  Every
+        face of dimension 2 or more met again must read as its witness or a
+        cube symmetry of it; sorted simplex corners always read the same.
         """
         table = cls._table
         index: dict[FaceKey, int] = {}
@@ -378,8 +378,8 @@ class _FaceTable:
         for dim, corners in cells:
             n = index.get(frozenset(corners))
             if n is not None:
-                if conflict is not None:
-                    conflict(witness[n], corners, dim)
+                if dim > 1 and witness[n] != corners:
+                    _same_cube(witness[n], corners)
                 continue
             rows.append(len(ids))
             entries = table(dim)
@@ -393,8 +393,8 @@ class _FaceTable:
                     add_key(key)
                     add_dim(j)
                     add_witness(sub)
-                elif conflict is not None:
-                    conflict(witness[n], sub, j)
+                elif j > 1 and witness[n] != sub:
+                    _same_cube(witness[n], sub)
                 add_id(n)
             for v in corners:
                 n = vertex.get(v)
@@ -612,15 +612,15 @@ class CubicalComplex(_FaceTable):
     ) -> "CubicalComplex":
         """Build the subface closure of ``cells``.
 
-        With ``validate`` set, the closure axioms are checked: any two cells
-        must induce the same cube structure on a shared vertex set, and every
-        intersection of two cells must be a common subface.  Together with
-        the transitivity of coordinate restriction this guarantees closure of
-        the whole face family under intersection and that every lower
-        interval is a cube face lattice.
+        The closure always refuses two cells that induce different cube
+        structures on a shared vertex set.  With ``validate`` set, the pair
+        scan also checks that every intersection of two cells is a common
+        subface.  Together with the transitivity of coordinate restriction
+        this guarantees closure of the whole face family under intersection
+        and that every lower interval is a cube face lattice.
 
-        Without ``validate`` nothing is checked: ``cells`` must come from a
-        validated complex and be inclusion-maximal, since a cell listed
+        Without ``validate`` only the pair scan is skipped: ``cells`` must
+        meet in common faces and be inclusion-maximal, since a cell listed
         before one that contains it stays a cell.
         """
         distinct: dict[FaceKey, CubicalCell] = {}
@@ -637,10 +637,7 @@ class CubicalComplex(_FaceTable):
             )
         # A repeated vertex set is already a face when its turn comes, so the
         # closure only checks that it describes the same cube.
-        dims, ids, rows, names = cls._close(
-            [(c.dim, c.corners) for c in cell_list + repeated],
-            conflict=_same_cube if validate else None,
-        )
+        dims, ids, rows, names = cls._close([(c.dim, c.corners) for c in cell_list + repeated])
         if validate:
             # A cell inside an earlier one has no row, and any pair it fails
             # its container fails first in scan order.
@@ -752,6 +749,8 @@ def antipodal_pairs(face: Face) -> tuple[tuple[int, int], ...]:
         raise ZeroDimensionalFace("antipodal pairs need a face of dimension at least 1")
     full = (1 << face.dim) - 1
     corners = face.corners
+    if len(corners) != full + 1:
+        raise ComplexError(f"antipodal pairs need a cube's {full + 1} corners, got {len(corners)}")
     return tuple((corners[b], corners[full ^ b]) for b in range(1 << (face.dim - 1)))
 
 

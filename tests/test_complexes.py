@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from cubicomb import (
+    ComplexError,
     CubicalCell,
     CubicalComplex,
     DuplicateVertexInCell,
@@ -29,10 +30,12 @@ from cubicomb import (
     link_of_vertex,
     pile_of_cubes,
     run_suite,
+    simplex,
     solid_cube,
     stacked_simplicial_ball,
     verify_cubical_boundary_ds,
 )
+from cubicomb import complexes
 from families import cubical_family
 from oracles import brute_least_upper_bounds, brute_pairwise_closed, reference_cubical_closure
 
@@ -175,6 +178,38 @@ def test_contained_cell_must_agree_with_its_container():
     assert len(build_cubical([cube, CubicalCell(2, (1, 0, 3, 2))]).cells) == 1
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [CubicalCell(3, tuple(range(8))), CubicalCell(2, (0, 1, 3, 2))],
+        [SQUARE, CubicalCell(2, (0, 1, 3, 2))],
+        [CubicalCell(3, tuple(range(8))), CubicalCell(3, (0, 1, 3, 2, 4, 5, 6, 7))],
+    ],
+)
+def test_an_unvalidated_build_refuses_a_second_cube_structure(cells):
+    unvalidated = closure_or_error(lambda: CubicalComplex.from_cells(cells, validate=False))
+    assert unvalidated[0] is InconsistentSharedFace
+    assert unvalidated == closure_or_error(lambda: build_cubical(cells))
+
+
+def test_agreeing_readings_never_reach_the_cube_test(monkeypatch):
+    calls, same_cube = [], complexes._same_cube
+
+    def counted(*args):
+        calls.append(args)
+        return same_cube(*args)
+
+    monkeypatch.setattr(complexes, "_same_cube", counted)
+    K = cubical_torus(4, 4, 4).complex
+    assert calls == []
+    cells = [CubicalCell(c.dim, c.corners) for c in K.cells]
+    # the reflection in the first coordinate, a symmetry of the 3-cube
+    cells[0] = CubicalCell(3, tuple(cells[0].corners[b ^ 1] for b in range(8)))
+    moved = CubicalComplex.from_cells(cells)
+    assert calls
+    assert moved == K
+
+
 def test_cell_dominated_by_another_is_dropped():
     edge = CubicalCell(1, (0, 1))
     K = build_cubical([SQUARE, edge])
@@ -212,6 +247,15 @@ def test_antipodal_pairs_of_a_square():
     assert antipodal_pairs(K.face({0, 1, 2, 3})) == ((0, 3), (1, 2))
     with pytest.raises(ZeroDimensionalFace):
         antipodal_pairs(K.face({0}))
+
+
+def test_antipodal_pairs_refuse_a_face_that_is_not_a_cube():
+    S = simplex(2).complex
+    with pytest.raises(ComplexError):
+        antipodal_pairs(S.face({0, 1, 2}))
+    with pytest.raises(ZeroDimensionalFace):
+        antipodal_pairs(S.face({0}))
+    assert antipodal_pairs(S.face({0, 2})) == ((0, 2),)
 
 
 def test_antipodal_pairs_of_an_edge():

@@ -365,9 +365,8 @@ def test_entries_inside_an_entry_match_a_subset_scan(table, k):
 
 
 def same_cube(corners, witness):
-    dim = len(corners).bit_length() - 1
     try:
-        _same_cube(corners, witness, dim)
+        _same_cube(corners, witness)
     except InconsistentSharedFace:
         return False
     return True
