@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .files import parse, serialize
 from .generators import (
@@ -175,23 +176,20 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     gc = parse(args.path)
     reports = run_suite(args.suite, gc)
+    counts = Counter(r.status for r in reports)
     if args.machine:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         for report in reports:
             print(format_report(report))
             print()
-        counts = {"pass": 0, "fail": 0, "inapplicable": 0}
-        for report in reports:
-            counts[report.status] += 1
         print(
             f"{counts['pass']} passed, {counts['fail']} failed, "
             f"{counts['inapplicable']} inapplicable"
         )
-    statuses = {r.status for r in reports}
-    if "fail" in statuses:
+    if counts["fail"]:
         return 1
-    if statuses == {"inapplicable"}:
+    if counts.keys() == {"inapplicable"}:
         return 3
     return 0
 

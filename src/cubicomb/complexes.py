@@ -3,12 +3,13 @@
 A face is identified with its vertex set and carries one corner ordering: a
 cubical witness, whose position ``b`` holds the vertex at cube coordinate
 ``b`` (bits read least significant first), or the sorted simplex vertices.
-Both kinds share the closure, which numbers the faces, the derived views,
-which sweep the numbers, and the builder that reads a subcomplex off the
-parent's rows; a kind supplies only the subface table of a cell.  The
-boundary and a simplicial vertex link, the faces opposite the vertex, are
-both such subcomplexes.  The closure refuses a face two cells read as
-different cubes; cubical validation checks that cells meet in a common face.
+Both kinds share the closure, which numbers the faces and keeps each vertex
+set as a key of its index, the derived views, which sweep the numbers, and
+the builder that reads a subcomplex off the parent's rows; a kind supplies
+only the subface table of a cell.  The boundary and a simplicial vertex
+link, the faces opposite the vertex, are both such subcomplexes.  The
+closure refuses a face two cells read as different cubes; cubical
+validation checks that cells meet in a common face.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
@@ -248,9 +249,9 @@ def _cube_symmetry(q: tuple[int, ...]) -> bool:
     return moved == list(q) and sorted(steps) == [1 << t for t in range(dim)]
 
 
-def _check_pairs(cells: list[int], index, keys, witness) -> list[bool]:
+def _check_pairs(cells: list[int], index, witness) -> list[bool]:
     """Check every two cells that share a vertex, given by their face numbers
-    in input order, and flag the cells that lie inside another.
+    in closure order, and flag the cells that lie inside a later one.
 
     A vertex -> (cell, corner position) index gives, for cell a and every
     later cell b sharing a vertex with it, the number n of shared vertices
@@ -258,8 +259,11 @@ def _check_pairs(cells: list[int], index, keys, witness) -> list[bool]:
     vertices fill a subcube of a cell exactly when n is 2 to the number of
     bits in which their positions vary; when they do in both cells, the
     intersection is a subface of a, hence a face, and the pair is valid.
-    A failing pair is refused in the order of an all-pairs scan: first
-    cell, then ascending second cell.
+    A cell inside an earlier one never comes here: its vertex set is a
+    subface of the earlier cell, which the closure numbered first, so it got
+    no row.  A failing pair is refused in the order of an all-pairs scan:
+    first cell, then ascending second cell, its vertex sets built from the
+    witnesses only to name it.
     """
     at: dict[int, list[tuple[int, int]]] = {}
     for b in range(len(cells) - 1, -1, -1):
@@ -291,10 +295,8 @@ def _check_pairs(cells: list[int], index, keys, witness) -> list[bool]:
                 bad.append(b)
             elif n == size:
                 maximal[a] = False
-            elif n == len(witness[cells[b]]):
-                maximal[b] = False
         if bad:
-            ka, kb = keys[cell], keys[cells[min(bad)]]
+            ka, kb = frozenset(corners), frozenset(witness[cells[min(bad)]])
             inter = ka & kb
             if inter not in index:
                 raise IntersectionNotAFace(
@@ -316,10 +318,12 @@ class _FaceTable:
     ``_maximal``, sorted into ``_rows`` on first use; and the views derived
     from them, the cached ones computed on first use.
 
-    The names (``_index``, ``_keys``, ``_witness``) come from one function
-    called on first use and kept in ``_names``: the closure hands over its
-    lists, and a subcomplex (the boundary or a simplicial vertex link) takes
-    its parent's objects from the parent's ``_keys`` and ``_witness``.
+    The names (``_index``, each vertex set to its number, and ``_witness``)
+    come from one function called on first use and kept in ``_names``: the
+    closure hands over its dict and list, and a subcomplex (the boundary or
+    a simplicial vertex link) takes its parent's objects from the parent's
+    ``_keys`` and ``_witness``.  ``_keys``, the vertex sets in number order,
+    is the list of the index's keys, made on first use.
     ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names; ``cells``,
     ``faces``, ``in``, ``face``, ``==`` and the other views name the table.
 
@@ -332,13 +336,13 @@ class _FaceTable:
         self.dim: int = max(dims, default=-1)
 
     @cached_property
-    def _names(self) -> tuple[dict[FaceKey, int], list[FaceKey], list[tuple[int, ...]]]:
-        """``(index, keys, witness)`` from the names function, which it drops."""
+    def _names(self) -> tuple[dict[FaceKey, int], list[tuple[int, ...]]]:
+        """``(index, witness)`` from the names function, which it drops."""
         return vars(self).pop("_name")()
 
     _index = property(lambda self: self._names[0])
-    _keys = property(lambda self: self._names[1])
-    _witness = property(lambda self: self._names[2])
+    _witness = property(lambda self: self._names[1])
+    _keys = cached_property(lambda self: list(self._index))  # in number order, see _close
 
     @cached_property
     def _rows(self) -> array:
@@ -361,20 +365,21 @@ class _FaceTable:
         """Subface closure of ``(dim, corners)`` cells, taken in order.
 
         Returns ``_dims``, ``_ids``, the row in ``_ids`` of each cell whose
-        vertex set was not yet a face, and a function giving the names.  A cell
-        whose vertex set was lies in an earlier cell and adds nothing.  Every
+        vertex set was not yet a face, and a function giving the names.  A new
+        face enters ``index`` with the number ``len(index)``, so the index's
+        keys are the vertex sets in number order.  A cell whose vertex set was
+        already a face lies in an earlier cell and adds nothing.  Every
         face of dimension 2 or more met again must read as its witness or a
         cube symmetry of it; sorted simplex corners always read the same.
         """
         table = cls._table
         index: dict[FaceKey, int] = {}
         vertex: dict[int, int] = {}  # the vertex entries, numbered without a frozenset
-        keys: list[FaceKey] = []
         dims = bytearray()
         witness: list[tuple[int, ...]] = []
         ids = array("i")
         rows = array("i")
-        add_key, add_dim, add_witness, add_id = keys.append, dims.append, witness.append, ids.append
+        add_dim, add_witness, add_id = dims.append, witness.append, ids.append
         for dim, corners in cells:
             n = index.get(frozenset(corners))
             if n is not None:
@@ -389,8 +394,7 @@ class _FaceTable:
                 key = frozenset(sub)
                 n = index.get(key)
                 if n is None:
-                    n = index[key] = len(keys)
-                    add_key(key)
+                    n = index[key] = len(index)
                     add_dim(j)
                     add_witness(sub)
                 elif j > 1 and witness[n] != sub:
@@ -400,12 +404,11 @@ class _FaceTable:
                 n = vertex.get(v)
                 if n is None:
                     key, sub = frozenset((v,)), (v,)
-                    n = vertex[v] = index[key] = len(keys)
-                    add_key(key)
+                    n = vertex[v] = index[key] = len(index)
                     add_dim(0)
                     add_witness(sub)
                 add_id(n)
-        return dims, ids, rows, lambda: (index, keys, witness)
+        return dims, ids, rows, lambda: (index, witness)
 
     def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]]):
         """A subcomplex read off this table with no closure lookups: each cell
@@ -424,7 +427,7 @@ class _FaceTable:
 
         def names():
             sub = [keys[m] for m in order]
-            return dict(zip(sub, range(len(sub)))), sub, [witness[m] for m in order]
+            return dict(zip(sub, range(len(sub)))), [witness[m] for m in order]
 
         sub_dims = bytearray([dims[m] for m in order])
         return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
@@ -687,22 +690,24 @@ class SimplicialComplex(_FaceTable):
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given facets; contained facets are dropped.
 
-        Each facet passes the cell gate before its vertices become a set.
-        The facets are closed largest first, so a contained facet is already
-        a face when its turn comes and the closure leaves it out.
+        Each facet passes the cell gate before it is sorted: with no vertex
+        repeated, its sorted tuple stands for its vertex set and is the form
+        the closure reads.  The facets are closed largest first, so a
+        contained facet is already a face when its turn comes and the
+        closure leaves it out.
         """
-        keys = set()
+        distinct = set()
         for f in facets:
             try:
                 f = tuple(f)
             except TypeError:
                 raise ValueError(f"a facet must be an iterable of vertex ids, got {f!r}") from None
             _check_corners(f)
-            keys.add(frozenset(f))
-        keys.discard(frozenset())
-        if not keys:
+            distinct.add(tuple(sorted(f)))
+        distinct.discard(())
+        if not distinct:
             raise ValueError("at least one nonempty facet is required")
-        order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
+        order = sorted(distinct, key=lambda c: (-len(c), c))
         return cls(*cls._close((len(c) - 1, c) for c in order))
 
     @cached_property

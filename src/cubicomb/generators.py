@@ -216,20 +216,16 @@ def stacked_simplicial_ball(
     simplex attached over a free ridge and bringing one new vertex.
 
     Linear gluing attaches to the previously added simplex; tree gluing
-    picks a random free ridge of a random simplex (seeded)."""
+    picks a random free ridge of a random simplex (seeded): a ridge is free
+    when no gluing has used it."""
     if d < 1 or n_facets < 1:
         raise ValueError("stacked_simplicial_ball needs d >= 1 and n_facets >= 1")
     if gluing not in ("linear", "tree"):
         raise ValueError("gluing must be 'linear' or 'tree'")
     facets = [frozenset(range(d + 1))]
-    ridge_use: dict[frozenset, int] = {}
-
-    def count(facet: frozenset) -> None:
-        for v in facet:
-            r = facet - {v}
-            ridge_use[r] = ridge_use.get(r, 0) + 1
-
-    count(facets[0])
+    # The ridges gluings used.  A new facet's other ridges all hold its new
+    # vertex, so a ridge lies in two facets exactly when it is in here.
+    glued: set[frozenset] = set()
     rng = random.Random(seed)
     next_vertex = d + 1
     for _ in range(n_facets - 1):
@@ -241,12 +237,12 @@ def stacked_simplicial_ball(
                 parent = rng.choice(facets)
                 drop = rng.choice(sorted(parent))
                 ridge = parent - {drop}
-                if ridge_use[ridge] == 1:
+                if ridge not in glued:
                     break
+        glued.add(ridge)
         new_facet = ridge | {next_vertex}
         next_vertex += 1
         facets.append(new_facet)
-        count(new_facet)
     S = build_simplicial(facets)
     tail = f", gluing={gluing!r}" if gluing != "linear" else ""
     tail += f", seed={seed}" if seed is not None else ""

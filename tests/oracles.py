@@ -5,6 +5,7 @@ h-vectors come from literal polynomial expansion, grid faces from direct
 interval enumeration, and poset properties from brute-force scans.
 """
 
+import random
 from functools import cache
 from itertools import combinations, product
 from math import comb
@@ -298,6 +299,41 @@ def reference_boundary_faces(faces, cells):
     return {
         key: (F.dim, F.corners) for key, F in faces.items() if any(key <= r for r in free)
     }
+
+
+def reference_stacked_ball_facets(d, n, gluing="linear", seed=None):
+    """The facets of a stacked d-ball of n facets, by counting how many
+    facets hold each ridge: linear gluing attaches each new simplex over
+    the ridge of the last one that misses its smallest vertex, tree gluing
+    draws a random facet and a random vertex of it until the opposite ridge
+    lies in one facet only.  Each new simplex brings the next vertex id."""
+    facets = [frozenset(range(d + 1))]
+    ridge_use = {}
+
+    def count(facet):
+        for v in facet:
+            r = facet - {v}
+            ridge_use[r] = ridge_use.get(r, 0) + 1
+
+    count(facets[0])
+    rng = random.Random(seed)
+    next_vertex = d + 1
+    for _ in range(n - 1):
+        if gluing == "linear":
+            parent = facets[-1]
+            ridge = parent - {min(parent)}
+        else:
+            while True:
+                parent = rng.choice(facets)
+                drop = rng.choice(sorted(parent))
+                ridge = parent - {drop}
+                if ridge_use[ridge] == 1:
+                    break
+        new_facet = ridge | {next_vertex}
+        next_vertex += 1
+        facets.append(new_facet)
+        count(new_facet)
+    return facets
 
 
 def reference_macaulay_terms(value, position):

@@ -401,6 +401,13 @@ def test_simplicial_from_facets_closure():
 def test_simplicial_dominated_facets_dropped():
     S = build_simplicial([[1, 2, 3], [1, 2]])
     assert tuple(c.key for c in S.cells) == (frozenset({1, 2, 3}),)
+    # A reordered repeat, the empty facet and a contained facet all drop out.
+    S = build_simplicial([[3, 1, 2], [1, 2, 3], [], [2, 1]])
+    assert tuple(c.key for c in S.cells) == (frozenset({1, 2, 3}),)
+    assert S.f_counts() == (3, 3, 1)
+    for facets in ([[]], [(), []]):
+        with pytest.raises(ValueError, match="^at least one nonempty facet is required$"):
+            SimplicialComplex.from_facets(facets)
 
 
 def test_simplicial_link():

@@ -8,6 +8,7 @@ from cubicomb import (
     GeneratedComplex,
     ValidationFailed,
     boundary_complex,
+    build_simplicial,
     check_topology_metadata,
     cross_polytope_boundary,
     cube_boundary,
@@ -25,8 +26,9 @@ from cubicomb import (
     stacked_simplicial_ball,
     stacked_sphere,
 )
+from cubicomb.files import serializes
 from families import PILE_SIDES, cubical_family, simplicial_family
-from oracles import pile_f_counts, pile_face_sets, torus_face_sets
+from oracles import pile_f_counts, pile_face_sets, reference_stacked_ball_facets, torus_face_sets
 
 
 def test_metadata_consistent_across_families():
@@ -158,6 +160,17 @@ def test_stacked_ball_counts_and_gluing():
         stacked_simplicial_ball(3, 2, gluing="fan")
     with pytest.raises(ValueError):
         stacked_simplicial_ball(0, 2)
+
+
+def test_stacked_ball_matches_the_ridge_count_reference():
+    gluings = [("linear", None)] + [("tree", seed) for seed in range(20)]
+    for d in range(1, 6):
+        for n in (1, 2, 3, 7, 20, 40):
+            for gluing, seed in gluings:
+                gc = stacked_simplicial_ball(d, n, gluing=gluing, seed=seed)
+                ref = build_simplicial(reference_stacked_ball_facets(d, n, gluing, seed))
+                assert gc.complex.cells == ref.cells, (d, n, gluing, seed)
+                assert serializes(gc.complex) == serializes(ref), (d, n, gluing, seed)
 
 
 def test_stacked_ball_boundary_ridges():
