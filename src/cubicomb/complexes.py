@@ -7,9 +7,12 @@ Both kinds share the closure, which numbers the faces and keeps each vertex
 set as a key of its index, the derived views, which sweep the numbers, and
 the builder that reads a subcomplex off the parent's rows; a kind supplies
 only the subface table of a cell.  The boundary and a simplicial vertex
-link, the faces opposite the vertex, are both such subcomplexes.  The
-closure refuses a face two cells read as different cubes; cubical
-validation checks that cells meet in a common face.
+link, the faces opposite the vertex, are both such subcomplexes.  A set of
+corner positions is a bit mask, and ``_entry_at`` is the one map from masks
+to subface table entries.  The closure accepts a second reading of a cube
+only when it permutes the first's corner positions by a symmetry, which
+takes every edge mask to an edge mask; cubical validation checks that cells
+meet in a common face, one whose position masks in both cells are subfaces.
 
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
@@ -156,23 +159,26 @@ def _simplex_tables(k: int) -> tuple[tuple[int, Reader], ...]:
 
 
 @lru_cache(maxsize=None)
-def _entry_at(table, k: int) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
-    """The corner positions of every entry of a k-cell's subface ``table``,
-    and the entry at each.  Every reader lists positions in ascending order,
-    so a subface read through any table gives the same tuple."""
+def _entry_at(table, k: int) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """The entry of a k-cell's subface ``table`` at each mask of corner
+    positions, and the corner positions of every entry in its own corner
+    order.  This is the one map from position sets to subfaces.  The mask
+    of positions p is the sum of their bits ``1 << p``, so it has no order,
+    and a reader given the bits of a cell's corner positions returns the
+    bits of a subface's positions, which sum to its mask."""
     positions = tuple(range(1 << k))  # covers the corners of a k-cube and a k-simplex
     spans = [read(positions) for _, read in table(k)]
-    return dict(zip(spans, range(len(spans)))), spans
+    return {sum([1 << p for p in span]): e for e, span in enumerate(spans)}, spans
 
 
 @lru_cache(maxsize=None)
 def _inside(table, k: int, e: int) -> tuple[int, ...]:
     """The entries of a k-cell's subface ``table`` inside entry ``e``, in the
-    order of ``e``'s own table, ``e`` itself first: the entries of the table
-    of ``e``'s dimension read through ``e``'s corner positions."""
+    order of ``e``'s own table, ``e`` itself first: the masks the table of
+    ``e``'s dimension reads from the bits of ``e``'s corner positions."""
     at, spans = _entry_at(table, k)
-    pos = spans[e]
-    return tuple([at[read(pos)] for _, read in table(table(k)[e][0])])
+    bits = tuple([1 << p for p in spans[e]])
+    return tuple([at[sum(read(bits))] for _, read in table(table(k)[e][0])])
 
 
 @lru_cache(maxsize=None)
@@ -238,62 +244,60 @@ def _same_cube(first: tuple[int, ...], sub: tuple[int, ...]) -> None:
 
 @lru_cache(maxsize=1 << 12)
 def _cube_symmetry(q: tuple[int, ...]) -> bool:
-    """Whether the corner positions ``q`` are a symmetry of the cube: the
-    steps ``q[1 << t] ^ q[0]`` are distinct single bits and every ``q[b]``
-    is ``q[0]`` moved by the steps of the bits set in ``b``."""
-    dim = len(q).bit_length() - 1
-    steps = [q[1 << t] ^ q[0] for t in range(dim)]
-    moved = [q[0]]
-    for step in steps:
-        moved += [x ^ step for x in moved]
-    return moved == list(q) and sorted(steps) == [1 << t for t in range(dim)]
+    """Whether the corner positions ``q``, a permutation, are a symmetry of
+    the cube: ``q`` takes every edge mask of the cube to an edge mask.  The
+    automorphisms of the k-cube graph are exactly its 2**k * k! symmetries."""
+    at, spans = _entry_at(_subface_tables, len(q).bit_length() - 1)
+    return all((1 << q[s[0]] | 1 << q[s[1]]) in at for s in spans if len(s) == 2)
 
 
 def _check_pairs(cells: list[int], index, witness) -> list[bool]:
     """Check every two cells that share a vertex, given by their face numbers
     in closure order, and flag the cells that lie inside a later one.
 
-    A vertex -> (cell, corner position) index gives, for cell a and every
-    later cell b sharing a vertex with it, the number n of shared vertices
-    and the OR and AND of their positions in a and in b.  The shared
-    vertices fill a subcube of a cell exactly when n is 2 to the number of
-    bits in which their positions vary; when they do in both cells, the
-    intersection is a subface of a, hence a face, and the pair is valid.
-    A cell inside an earlier one never comes here: its vertex set is a
-    subface of the earlier cell, which the closure numbered first, so it got
-    no row.  A failing pair is refused in the order of an all-pairs scan:
-    first cell, then ascending second cell, its vertex sets built from the
-    witnesses only to name it.
+    A vertex -> (cell, corner position bit) index gives, for cell a and
+    every later cell b sharing a vertex with it, the masks of the shared
+    vertices' positions in a and in b.  The pair is valid when both masks
+    are subfaces, keys of the mask map of the largest cell's cube: the
+    intersection is then a subface of a, hence a face, and of b.  A smaller
+    cube's subfaces are the largest cube's below its corner count, so one
+    map serves every pair; a one-cell build has no pair and makes no map.
+    Cell a lies inside b when its mask in a is full.  A cell inside an
+    earlier one never comes here: its vertex set is a subface of the
+    earlier cell, which the closure numbered first, so it got no row.  A
+    failing pair is refused in the order of an all-pairs scan: first cell,
+    then ascending second cell, its vertex sets built from the witnesses
+    only to name it.
     """
+    k = max(len(witness[c]) for c in cells).bit_length() - 1
+    subface = _entry_at(_subface_tables, k)[0] if len(cells) > 1 else {}  # one cell, no pair
+    bits = [1 << q for q in range(1 << k)]  # one int object per position, shared by all cells
     at: dict[int, list[tuple[int, int]]] = {}
     for b in range(len(cells) - 1, -1, -1):
-        for q, v in enumerate(witness[cells[b]]):
+        for q, v in zip(bits, witness[cells[b]]):
             at.setdefault(v, []).append((b, q))
     maximal = [True] * len(cells)
     for a, cell in enumerate(cells):
         # Each vertex list runs by descending cell, so a's own entry is last
         # and everything before it belongs to a later cell.
         corners = witness[cell]
-        shared: dict[int, list[int]] = {}
-        for p, v in enumerate(corners):
+        shared: dict[int, list[int]] = {}  # b -> the shared positions' masks in a and b
+        for v in corners:
             later = at[v]
-            later.pop()
+            bit = later.pop()[1]
             for b, q in later:
-                acc = shared.get(b)
-                if acc is None:
-                    shared[b] = [1, p, p, q, q]
+                masks = shared.get(b)
+                if masks is None:
+                    shared[b] = [bit, q]
                 else:
-                    acc[0] += 1
-                    acc[1] |= p
-                    acc[2] &= p
-                    acc[3] |= q
-                    acc[4] &= q
+                    masks[0] |= bit
+                    masks[1] |= q
         bad = []
-        size = len(corners)
-        for b, (n, or_a, and_a, or_b, and_b) in shared.items():
-            if n != 1 << (or_a ^ and_a).bit_count() or n != 1 << (or_b ^ and_b).bit_count():
+        full = (1 << len(corners)) - 1
+        for b, (in_a, in_b) in shared.items():
+            if in_a not in subface or in_b not in subface:
                 bad.append(b)
-            elif n == size:
+            elif in_a == full:
                 maximal[a] = False
         if bad:
             ka, kb = frozenset(corners), frozenset(witness[cells[min(bad)]])
@@ -588,7 +592,8 @@ class _FaceTable:
         """Closure of the ridges lying in exactly one facet; empty when closed.
         A free ridge at entry e of its one facet takes the entries inside e as
         its own, or, when a contained cell met it first with another witness,
-        the entries at its corner positions in the facet."""
+        the entries at the masks its own subface table reads from the bits
+        of its corner positions in the facet."""
         self.ridge_degrees()  # refuses a complex that is not pure
         ids, witness = self._ids, self._witness
         table, d, (_, facets, free) = self._table, self.dim, self._ridges
@@ -598,8 +603,8 @@ class _FaceTable:
             if table(d)[e][1](corners) == sub:
                 cells.append((row, _inside(table, d, e)))
             else:
-                at, pos = _entry_at(table, d)[0], tuple(map(corners.index, sub))
-                cells.append((row, [at[tuple(sorted(read(pos)))] for _, read in table(d - 1)]))
+                at, bits = _entry_at(table, d)[0], tuple([1 << corners.index(v) for v in sub])
+                cells.append((row, [at[sum(read(bits))] for _, read in table(d - 1)]))
         return type(self)(*self._subcomplex(cells))
 
 
@@ -725,7 +730,9 @@ class SimplicialComplex(_FaceTable):
         """The faces opposite ``v``, those F without ``v`` where F | {v} is a
         face: each maximal cell through ``v``, in ``_cells_at`` order, gives
         the entries inside its facet opposite ``v``.  That facet of a
-        k-simplex with ``v`` at corner position p is table entry k + 1 - p."""
+        k-simplex with ``v`` at corner position p is table entry k + 1 - p:
+        the simplex tables list the facets in that order, and this
+        arithmetic is cheaper per link than looking the facet's mask up."""
         dims, ids, witness = self._dims, self._ids, self._witness
         self._vertex(v)
         cells = []

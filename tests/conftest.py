@@ -1,11 +1,17 @@
 """Shared acceptance bookkeeping, verdict lines echoed after the run, and the
-hypothesis profile: derandomized so every run draws the same examples, with
-no deadline (the host's speed drifts) and a bounded example count."""
+hypothesis profiles.  ``cubicomb``, loaded here, is derandomized so every run
+draws the same examples, with no deadline (the host's speed drifts) and a
+bounded example count.  ``deep`` draws 2,000 fresh examples per property;
+select it with ``--hypothesis-profile=deep`` and pick the draws with
+``--hypothesis-seed``."""
 
 from hypothesis import settings
 
 settings.register_profile(
     "cubicomb", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.register_profile(
+    "deep", derandomize=False, deadline=None, max_examples=2000, database=None
 )
 settings.load_profile("cubicomb")
 

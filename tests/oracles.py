@@ -2,13 +2,16 @@
 
 Everything here deliberately takes a different route than the package:
 h-vectors come from literal polynomial expansion, grid faces from direct
-interval enumeration, and poset properties from brute-force scans.
+interval enumeration, and poset properties from brute-force scans.  The
+arithmetic the package once used to tell a subcube and a cube symmetry is
+kept here as references for the position-mask map that replaced it.
 """
 
 import random
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
 from math import comb
+from operator import and_, or_
 
 
 def poly_mul(a, b):
@@ -204,6 +207,24 @@ def reference_facet_keys(corners, dim):
     """The vertex sets of a cube's facets; two corner orderings of one vertex
     set make the same cube exactly when these agree (dim >= 2)."""
     return {frozenset(corners[i] for i in pos) for j, pos in cube_subfaces(dim) if j == dim - 1}
+
+
+def reference_fills_subcube(positions):
+    """Whether distinct corner positions fill a subcube of a cube, by count:
+    exactly when there are 2 to the number of bits in which they vary."""
+    return len(positions) == 1 << (reduce(or_, positions) ^ reduce(and_, positions)).bit_count()
+
+
+def reference_cube_symmetry(q):
+    """Whether the corner positions ``q`` are a symmetry of the cube, by step
+    arithmetic: the steps ``q[1 << t] ^ q[0]`` are distinct single bits and
+    every ``q[b]`` is ``q[0]`` moved by the steps of the bits set in ``b``."""
+    dim = len(q).bit_length() - 1
+    steps = [q[1 << t] ^ q[0] for t in range(dim)]
+    moved = [q[0]]
+    for step in steps:
+        moved += [x ^ step for x in moved]
+    return moved == list(q) and sorted(steps) == [1 << t for t in range(dim)]
 
 
 def reference_cubical_closure(cells):

@@ -231,6 +231,45 @@ def test_empty_complex():
         build_cubical([])
 
 
+def unvalidated_squares_through_a_diagonal():
+    return CubicalComplex.from_cells(
+        [CubicalCell(2, (0, 1, 2, 3)), CubicalCell(2, (0, 4, 5, 3))], validate=False
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: CubicalComplex.from_cells([(0, (1,))]),
+            TypeError,
+            "from_cells expects CubicalCell values",
+        ),
+        (
+            lambda: build_simplicial([[0, 1, 2], [2, 3]]).semi_eulerian,
+            NotPure,
+            "the Euler condition is checked on pure complexes",
+        ),
+        (
+            lambda: least_upper_bound(unvalidated_squares_through_a_diagonal(), 0, 3),
+            IntersectionNotAFace,
+            "faces over {0, 3} meet in {0, 3}, which is not a face",
+        ),
+    ],
+)
+def test_complex_refusals_name_their_type_and_reason(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_empty_is_no_pseudomanifold_and_kinds_never_compare_equal():
+    assert CubicalComplex.empty().pseudomanifold is False
+    edge = solid_cube(1).complex
+    assert edge.faces.keys() == build_simplicial([[0, 1]]).faces.keys()
+    assert (edge == build_simplicial([[0, 1]])) is False
+
+
 def test_face_lookup_and_unknowns():
     K = build_cubical([SQUARE])
     assert K.face({0, 1}).dim == 1

@@ -14,8 +14,11 @@ facets against their definitions.  On both kinds the link Euler
 characteristics, the ridge degrees and the boundary faces must equal
 ``oracles.reference_link_euler``, ``reference_ridge_degrees`` and
 ``reference_boundary_faces``, the table entries inside each entry must be
-the ones a subset scan finds, and the arithmetic same-cube test must accept
-exactly the corner orderings with the same facets.
+the ones a subset scan finds, and the same-cube test must accept exactly the
+corner orderings with the same facets.  The position-mask map of a cube's
+subfaces must hold exactly the position sets the count test of
+``oracles.reference_fills_subcube`` accepts, and a smaller cube's masks
+must be the larger cube's below its corner count.
 Links and boundaries have their face counts, dimension and purity read
 before anything names their faces, then their whole numbering compared, and
 must equal a copy named first.  Relabelling the vertices of either kind
@@ -53,7 +56,14 @@ from cubicomb import (
     solid_cube,
     verify_h_vector_identities,
 )
-from cubicomb.complexes import _inside, _same_cube, _simplex_tables, _subface_tables
+from cubicomb.complexes import (
+    _cube_symmetry,
+    _entry_at,
+    _inside,
+    _same_cube,
+    _simplex_tables,
+    _subface_tables,
+)
 from cubicomb.generators import _grid_cells
 from families import simplicial_family
 from oracles import (
@@ -61,9 +71,11 @@ from oracles import (
     grid_vertex,
     insert_bit,
     reference_boundary_faces,
+    reference_cube_symmetry,
     reference_cubical_closure,
     reference_cubical_link,
     reference_facet_keys,
+    reference_fills_subcube,
     reference_free_ridges,
     reference_link_euler,
     reference_numbering,
@@ -189,11 +201,14 @@ def test_prism_cells_stack_two_layers_of_each_base_cell():
 def cube_symmetry(draw, k):
     """A hyperoctahedral map of corner positions: permute the axes, then
     reflect some of them."""
-    axes = draw(st.permutations(range(k)))
-    flips = draw(st.integers(0, (1 << k) - 1))
-    return [
-        sum(1 << axes[q] for q in range(k) if b >> q & 1) ^ flips for b in range(1 << k)
-    ]
+    return symmetry(draw(st.permutations(range(k))), draw(st.integers(0, (1 << k) - 1)))
+
+
+def symmetry(axes, flips):
+    """The corner positions of a cube with its axes permuted by ``axes``,
+    then the axes in ``flips`` reflected."""
+    k = len(axes)
+    return [sum(1 << axes[q] for q in range(k) if b >> q & 1) ^ flips for b in range(1 << k)]
 
 
 def swap_two(draw, corners):
@@ -394,6 +409,46 @@ def test_same_cube_on_four_cubes_matches_the_facet_sets(sym, data):
         witness = tuple(data.draw(st.permutations(corners)))
     expect = reference_facet_keys(witness, 4) == reference_facet_keys(corners, 4)
     assert same_cube(corners, witness) == expect
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_subface_masks_are_the_position_sets_that_fill_a_subcube(k):
+    at = _entry_at(_subface_tables, k)[0]
+    for mask in range(1, 1 << (1 << k)):
+        positions = [p for p in range(1 << k) if mask >> p & 1]
+        assert (mask in at) == reference_fills_subcube(positions), positions
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_a_smaller_cubes_masks_are_the_larger_cubes_below_its_corner_count(k):
+    masks = _entry_at(_subface_tables, k)[0].keys()
+    for smaller in range(k):
+        below = {m for m in masks if m < 1 << (1 << smaller)}
+        assert _entry_at(_subface_tables, smaller)[0].keys() == below
+
+
+def test_same_cube_accepts_the_four_cube_symmetries_and_no_transposition_of_them():
+    corners = tuple(range(20, 36))
+    facets = reference_facet_keys(corners, 4)
+    symmetries = {
+        tuple(symmetry(axes, flips)) for axes in permutations(range(4)) for flips in range(16)
+    }
+    assert len(symmetries) == (1 << 4) * factorial(4)
+    for sym in symmetries:
+        witness = tuple(corners[b] for b in sym)
+        assert reference_facet_keys(witness, 4) == facets
+        assert same_cube(corners, witness)
+        for i, j in combinations(range(16), 2):
+            swapped = list(witness)
+            swapped[i], swapped[j] = witness[j], witness[i]
+            assert reference_facet_keys(swapped, 4) != facets
+            assert not same_cube(corners, tuple(swapped))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_cube_symmetry_agrees_with_the_step_arithmetic(k):
+    for q in permutations(range(1 << k)):
+        assert _cube_symmetry(q) == reference_cube_symmetry(q), q
 
 
 def relabelling(data, vertices):

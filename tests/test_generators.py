@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from cubicomb import (
+    CubicalComplex,
     GeneratedComplex,
     ValidationFailed,
     boundary_complex,
@@ -209,6 +210,23 @@ def test_prism_special_cases():
     assert prism(solid_cube(2)).topology == "ball"
     with pytest.raises(ValueError):
         prism(simplex(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cross_polytope_boundary(0), "cross_polytope_boundary needs d >= 1"),
+        (lambda: stacked_sphere(0, 5), "stacked_sphere needs d >= 1"),
+        (
+            lambda: prism(GeneratedComplex(CubicalComplex.empty(), "ball", "empty")),
+            "prism needs a nonempty complex",
+        ),
+    ],
+)
+def test_generator_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (ValueError, message)
 
 
 def test_metadata_rejects_wrong_tags():

@@ -3,6 +3,7 @@
 import pytest
 
 from cubicomb import (
+    CubicalComplex,
     FVector,
     HVector,
     cross_polytope_boundary,
@@ -123,6 +124,25 @@ def test_long_cubical_recurrence_and_top_entry():
 def test_long_cubical_rejects_wrong_kind():
     with pytest.raises(ValueError):
         h_long_cubical(HVector("simplicial", 2, (1, 3, 3, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: f_from_h_simplicial(h_long_cubical(cube_boundary(3).complex)),
+            "f_from_h_simplicial needs a simplicial h-vector",
+        ),
+        (
+            lambda: h_short_cubical_from_links(CubicalComplex.empty()),
+            "short cubical h-vector needs dimension >= 0",
+        ),
+    ],
+)
+def test_transform_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (ValueError, message)
 
 
 def test_g_vector_conventions():
