@@ -12,6 +12,7 @@ import json
 import sys
 from collections import Counter
 
+from .complexes import _link_counts
 from .files import parse, serialize
 from .generators import (
     cross_polytope_boundary,
@@ -142,10 +143,10 @@ def _link_rows(C) -> list[tuple[int, list[int]]]:
     """Face counts of every vertex link, read off the vertex coface counts:
     a simplicial row ends at the link's own dimension, where the counts
     turn zero; a cubical row runs to dimension dim - 1 of the complex."""
-    rows = [(v, list(counts[1:])) for v, counts in C.vertex_coface_counts.items()]
+    rows = C.vertex_coface_counts.items()
     if C.kind == "simplicial":
-        return [(v, row[: len(row) - row.count(0)]) for v, row in rows]
-    return rows
+        return [(v, list(_link_counts(counts))) for v, counts in rows]
+    return [(v, list(counts[1:])) for v, counts in rows]
 
 
 def _cmd_compute(args) -> int:

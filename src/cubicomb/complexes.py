@@ -17,9 +17,9 @@ meet in a common face, one whose position masks in both cells are subfaces.
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
-lazily and cached on the object; the boundary and the simplicial vertex
-links name their faces on first use, from the parent's vertex sets and
-witnesses.
+lazily and cached on the object; the boundary names its faces on first use,
+from the parent's vertex sets and witnesses, and a simplicial vertex link,
+whose counts are the parent's, builds its whole table on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, takewhile
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
@@ -330,6 +330,8 @@ class _FaceTable:
     is the list of the index's keys, made on first use.
     ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names; ``cells``,
     ``faces``, ``in``, ``face``, ``==`` and the other views name the table.
+    A simplicial vertex link is made by ``_lazy``: it knows ``dim`` and
+    ``f_counts`` and builds everything else on first use, ``pure`` included.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
     a cell, the cell itself first and its vertices last, in corner order.
@@ -339,10 +341,31 @@ class _FaceTable:
         self._dims, self._ids, self._maximal, self._name = dims, ids, rows, names
         self.dim: int = max(dims, default=-1)
 
+    @classmethod
+    def _lazy(cls, build: Callable[[], tuple], counts: tuple[int, ...]):
+        """A table with these face counts whose ``__init__`` arguments come from ``build``."""
+        table = cls.__new__(cls)
+        vars(table).update(_build=build, dim=len(counts) - 1, _f_counts=counts)
+        return table
+
+    def _built(i: int) -> cached_property:
+        """Argument i of ``__init__`` for a ``_lazy`` table: the first read of
+        any runs the build function, drops it and sets them all."""
+        def part(self):
+            parts = vars(self).pop("_build")()
+            self.__init__(*parts)
+            return parts[i]
+        return cached_property(part)
+
+    _dims, _ids, _maximal, _name = map(_built, range(4))
+    del _built
+
     @cached_property
     def _names(self) -> tuple[dict[FaceKey, int], list[tuple[int, ...]]]:
         """``(index, witness)`` from the names function, which it drops."""
-        return vars(self).pop("_name")()
+        name = self._name
+        del self._name
+        return name()
 
     _index = property(lambda self: self._names[0])
     _witness = property(lambda self: self._names[1])
@@ -482,7 +505,8 @@ class _FaceTable:
         return tuple(sorted(w[0] for w in compress(self._witness, map((0).__eq__, self._dims))))
 
     def _vertex(self, v: int) -> int:
-        n = self._index.get(frozenset((v,)))
+        gated = isinstance(v, int) and not isinstance(v, bool)  # as the cell gate's ids
+        n = self._index.get(frozenset((v,))) if gated else None
         if n is None:
             raise UnknownVertex(str(v))
         return n
@@ -501,8 +525,8 @@ class _FaceTable:
         """For each vertex, how many i-faces contain it, i = 0..dim.
 
         Entry i of the value equals the number of (i-1)-faces of the vertex
-        link, since faces through a vertex correspond to link faces; the
-        entries are nonzero exactly up to the dimension of the vertex star.
+        link, since faces through a vertex correspond to link faces; a
+        simplicial link reads its face counts and dimension off them.
         """
         by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(self.dim + 1)]
         for corners, j in zip(self._witness, self._dims):
@@ -685,6 +709,12 @@ class CubicalComplex(_FaceTable):
         return {v: by_h[h] for v, h in self.link_h_vectors.items()}
 
 
+def _link_counts(coface_counts: tuple[int, ...]) -> tuple[int, ...]:
+    """A simplicial vertex link's face counts: link face i is an (i+1)-face
+    through the vertex, and those are counted up to the star's dimension."""
+    return tuple(takewhile(bool, coface_counts[1:]))
+
+
 class SimplicialComplex(_FaceTable):
     """A downward closed family of vertex sets (the empty face is implicit)."""
 
@@ -716,30 +746,28 @@ class SimplicialComplex(_FaceTable):
         return cls(*cls._close((len(c) - 1, c) for c in order))
 
     @cached_property
-    def _cells_at(self) -> dict[int, list[int]]:
-        """The rows of the inclusion-maximal cells of dimension at least 1
-        through each vertex, largest first and then in number order."""
+    def _link_cells(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+        """The cells of each vertex link as ``_subcomplex`` takes them: every
+        maximal cell of dimension at least 1 through v, largest first and
+        then in number order, and the entries inside its facet opposite v.
+        That facet of a k-simplex with v at corner position p is table entry
+        k + 1 - p: the simplex tables list the facets in that order, and this
+        arithmetic is cheaper than looking the facet's mask up."""
         ids, dims, witness = self._ids, self._dims, self._witness
-        at: dict[int, list[int]] = {v: [] for v in self.vertices}
+        at: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in self.vertices}
         for row in sorted(self._maximal, key=lambda r: (-dims[ids[r]], ids[r])):
-            for v in witness[ids[row]] if dims[ids[row]] else ():
-                at[v].append(row)
+            k = dims[ids[row]]
+            for p, v in enumerate(witness[ids[row]] if k else ()):
+                at[v].append((row, _inside(_simplex_tables, k, k + 1 - p)))
         return at
 
     def link(self, v: int) -> "SimplicialComplex":
         """The faces opposite ``v``, those F without ``v`` where F | {v} is a
-        face: each maximal cell through ``v``, in ``_cells_at`` order, gives
-        the entries inside its facet opposite ``v``.  That facet of a
-        k-simplex with ``v`` at corner position p is table entry k + 1 - p:
-        the simplex tables list the facets in that order, and this
-        arithmetic is cheaper per link than looking the facet's mask up."""
-        dims, ids, witness = self._dims, self._ids, self._witness
+        face.  Its counts come from the coface counts of ``v`` and its table,
+        on first use of anything else, from its ``_link_cells``."""
         self._vertex(v)
-        cells = []
-        for r in self._cells_at[v]:
-            k = dims[ids[r]]
-            cells.append((r, _inside(_simplex_tables, k, k + 1 - witness[ids[r]].index(v))))
-        return SimplicialComplex(*self._subcomplex(cells))
+        counts = _link_counts(self.vertex_coface_counts[v])
+        return SimplicialComplex._lazy(lambda: self._subcomplex(self._link_cells[v]), counts)
 
 
 Complex = Union[CubicalComplex, SimplicialComplex]

@@ -281,6 +281,24 @@ def test_face_lookup_and_unknowns():
         least_upper_bound(K, 0, 9)
 
 
+@pytest.mark.parametrize("v", [True, False, 1.0, "1", None, [1], 9])
+def test_vertex_queries_refuse_what_the_cell_gate_refuses(v, monkeypatch):
+    S, K = build_simplicial([[0, 1, 2]]), build_cubical([SQUARE])
+    built = []
+    monkeypatch.setattr(complexes._FaceTable, "_subcomplex", lambda self, cells: built.append(cells))
+    monkeypatch.setattr(complexes._FaceTable, "_close", classmethod(lambda cls, cells: built.append(cells)))
+    calls = [
+        lambda: S.link(v),
+        lambda: link_of_vertex(K, v),
+        lambda: least_upper_bound(K, v, 3),
+        lambda: least_upper_bound(K, 3, v),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownVertex):
+            call()
+    assert built == []  # refused when called, before any table is built
+
+
 def test_antipodal_pairs_of_a_square():
     K = build_cubical([SQUARE])
     assert antipodal_pairs(K.face({0, 1, 2, 3})) == ((0, 3), (1, 2))
@@ -507,9 +525,16 @@ def test_counted_links_and_boundaries_never_name_their_faces():
     assert "boundary" in vars(ball.complex) and "boundary" in vars(pile.complex)
     for sub in links + [ball.complex.boundary, pile.complex.boundary]:
         assert "_names" not in vars(sub) and "_rows" not in vars(sub)
-    # Named afterwards, a link gives the same counts and lets go of its parent's lists.
+    # A counted link holds no table of its own.
+    assert all(repr(link) and link.dim == len(c) - 1 for link, c in zip(links, counts))
+    assert not any({"_dims", "_ids", "_maximal", "_name"} & vars(link).keys() for link in links)
+    # Named afterwards, a link gives the same counts and lets go of its
+    # build function and its parent's lists.
     assert [len(link.faces) for link in links] == [sum(c) for c in counts]
-    assert not any("_name" in vars(link) for link in links)
+    assert [link.f_counts() for link in links] == [
+        tuple(map(link._dims.count, range(link.dim + 1))) for link in links
+    ]
+    assert not any({"_build", "_name"} & vars(link).keys() for link in links)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,8 @@ grid, torus, cube-boundary and prism cells equal their coordinate
 definitions, corner order included.
 """
 
+import gc
+import weakref
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -54,6 +56,7 @@ from cubicomb import (
     run_suite,
     serializes,
     solid_cube,
+    stacked_simplicial_ball,
     verify_h_vector_identities,
 )
 from cubicomb.complexes import (
@@ -91,17 +94,27 @@ def numbering(C):
     return faces, list(C._ids), [(c.dim, c.corners) for c in C.cells]
 
 
-def read_counts_first(build):
-    """A table from ``build()`` whose face counts, dimension and purity are
-    read before anything names its faces, and those reads; a second table
-    from ``build()``, named first, must give the same reads and equal it."""
+def read_counts_first(build, unbuilt=False):
+    """A table from ``build()`` whose face counts, dimension and repr, then
+    purity, are read before anything names its faces, and those reads; with
+    ``unbuilt`` set it holds no table of its own until its purity is read.
+    A second table from ``build()``, named first, must give the same reads
+    and equal it; the counts and dimension must be those of the first's own
+    table, and neither keeps a build or names function."""
     counted = build()
-    reads = counted.f_counts(), counted.dim, counted.pure
+    counts = counted.f_counts(), counted.dim
+    repr(counted)
+    if unbuilt:
+        assert {"_dims", "_ids", "_maximal", "_name"}.isdisjoint(vars(counted))
+    reads = (*counts, counted.pure)
     assert "_names" not in vars(counted)
     named = build()
     named.faces
     assert (named.f_counts(), named.dim, named.pure) == reads
     assert counted == named
+    dims = counted._dims
+    assert counts == (tuple(map(dims.count, range(counted.dim + 1))), max(dims, default=-1))
+    assert not {"_build", "_name"} & (vars(counted).keys() | vars(named).keys())
     return counted, reads
 
 
@@ -490,7 +503,7 @@ def check_against_definitions(S, facets):
     order = sorted((tuple(sorted(f)) for f in keys), key=lambda c: (-len(c), c))
     assert numbering(S) == reference_numbering([(len(c) - 1, c) for c in order], "simplicial")
     for v in S.vertices:
-        link, reads = read_counts_first(lambda: S.link(v))
+        link, reads = read_counts_first(lambda: S.link(v), unbuilt=True)
         reclosed = reclosed_vertex_link(S, v)
         assert numbering(link) == reclosed and reads == reference_reads(*reclosed)
         assert set(link.faces) == {f - {v} for f in S.faces if v in f} - {frozenset()}
@@ -511,6 +524,28 @@ def test_simplicial_links_and_cells_match_definitions(facets, data):
     extra += [f[: data.draw(st.integers(1, len(f)))] for f in extra]
     facets = facets + extra
     check_against_definitions(build_simplicial(facets), facets)
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [c.corners for c in stacked_simplicial_ball(3, 12, gluing="tree", seed=4).complex.cells],
+        [[0, 1, 2, 3], [2, 3, 4], [4, 5], [6]],
+    ],
+)
+def test_an_unbuilt_link_outlives_its_parent(facets):
+    S = build_simplicial(facets)
+    links = {v: S.link(v) for v in S.vertices}
+    reclosed = {v: reclosed_vertex_link(S, v) for v in S.vertices}
+    parent = weakref.ref(S)
+    del S
+    gc.disable()
+    try:
+        assert {v: numbering(link) for v, link in links.items()} == reclosed
+        # Built, the links hold only the parent's vertex sets and witnesses.
+        assert parent() is None
+    finally:
+        gc.enable()
 
 
 def test_simplicial_family_links_and_cells_match_definitions():
