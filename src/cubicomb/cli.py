@@ -3,6 +3,9 @@
 Exit codes form a stable contract: 0 success / all applicable checks pass,
 1 at least one check fails, 2 usage or input error, 3 every check was
 inapplicable to the input, 4 an internal error (any other exception).
+
+Only ``verify`` loads the verifiers and the report module, the half of the
+package that ``gen`` and ``compute`` never use.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .generators import (
     stacked_sphere,
 )
 from .vectors import f_vector, g_vector, h_simplicial, reduced_euler
-from .verify import SUITES, run_suite
-from .report import format_report
 
 __all__ = ["entry", "main", "FAMILIES", "INVARIANTS"]
 
@@ -78,6 +79,16 @@ FAMILIES = {
 INVARIANTS = ("f", "euler", "h", "g", "hsc", "hc", "gc", "links")
 
 
+class _SuiteChoices:
+    """The ``verify`` suite names, read off the registry when argparse first
+    iterates them, so that only ``verify`` loads the verifiers."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter(sorted(SUITES) + ["all"])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicomb",
@@ -102,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_compute)
 
     v = sub.add_parser("verify", help="run a verification suite on a stored complex")
-    v.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    # set after add_argument, which formats the choices to check the metavar
+    v.add_argument("suite").choices = _SuiteChoices()
     v.add_argument("path")
     v.add_argument("--machine", action="store_true", help="emit JSON reports")
     v.set_defaults(func=_cmd_verify)
@@ -175,6 +187,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .report import format_report
+    from .verify import run_suite
+
     gc = parse(args.path)
     reports = run_suite(args.suite, gc)
     counts = Counter(r.status for r in reports)

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, takewhile
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
+from ._record import _Record
 from .vectors import (
     FVector,
     GVector,
@@ -201,8 +201,7 @@ def _fmt_key(key: Iterable[int]) -> str:
     return "{%s}" % ", ".join(str(v) for v in sorted(key))
 
 
-@dataclass(frozen=True)
-class CubicalCell:
+class CubicalCell(_Record):
     """A k-dimensional cube given by its 2**k corner vertices in bit order."""
 
     dim: int
@@ -223,10 +222,11 @@ class CubicalCell:
         return frozenset(self.corners)
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
+class Face(_Record):
     """A face of a built complex: vertex set plus one corner ordering, a
     witness in bit order for a cube and the sorted vertices for a simplex."""
+
+    __slots__ = ("key", "dim", "corners")
 
     key: FaceKey
     dim: int

@@ -9,10 +9,10 @@ subcomplexes, which inherit validity from their parent complex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 
+from ._record import _Record
 from .complexes import (
     Complex,
     CubicalCell,
@@ -55,8 +55,7 @@ _PRISM_TOPOLOGY = {
 TOPOLOGY_TAGS = tuple(_PRISM_TOPOLOGY)
 
 
-@dataclass(frozen=True)
-class GeneratedComplex:
+class GeneratedComplex(_Record):
     """A complex plus the topology its construction guarantees."""
 
     complex: Complex
@@ -179,7 +178,8 @@ def stacked_cubical(n_cells: int, rank: int) -> tuple[GeneratedComplex, Generate
         raise ValueError("stacked_cubical needs n_cells >= 1 and rank >= 1")
     ball = pile_of_cubes(n_cells, *(1,) * (rank - 1))
     label = f"stacked_cubical({n_cells}, {rank})"
-    return replace(ball, provenance=label + " ball"), _sphere(ball, label + " boundary")
+    named = GeneratedComplex(ball.complex, ball.topology, label + " ball", ball.polytopal)
+    return named, _sphere(ball, label + " boundary")
 
 
 def simplex(d: int) -> GeneratedComplex:

@@ -9,10 +9,10 @@ every term to C(n_t + 1, t + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
 
+from ._record import _Record
 from .report import Check, Precondition, make_report, VerificationReport
 from .vectors import HVector
 
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MacaulayDecomposition:
+class MacaulayDecomposition(_Record):
     value: int
     position: int
     terms: tuple[tuple[int, int], ...]  # (n_t, t), t strictly decreasing

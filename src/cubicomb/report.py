@@ -9,23 +9,22 @@ unmet preconditions mark the whole report "inapplicable" rather than
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._record import _Record
 
 __all__ = ["Precondition", "Check", "VerificationReport", "make_report", "format_report"]
 
 _RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class Precondition:
+class Precondition(_Record):
     description: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     label: str
     lhs: int
     rhs: int
@@ -41,8 +40,7 @@ class Check:
         return _RELATIONS[self.relation](self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     name: str
     status: str  # "pass" | "fail" | "inapplicable"
     preconditions: tuple[Precondition, ...] = ()

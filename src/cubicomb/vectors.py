@@ -8,9 +8,10 @@ error, not a silent reinterpretation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
+
+from ._record import _Record
 
 if TYPE_CHECKING:
     from .complexes import Complex, CubicalComplex
@@ -35,8 +36,7 @@ def _neg_pow(m: int) -> int:
     return 1 if m % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class _Vector:
+class _Vector(_Record):
     """A vector record: its convention tag, the dimension it refers to and
     its entries, read as 0 beyond both ends.  Records of different classes
     never compare equal."""
@@ -49,7 +49,6 @@ class _Vector:
         return self.entries[pos] if 0 <= pos < len(self.entries) else 0
 
 
-@dataclass(frozen=True)
 class FVector(_Vector):
     """Face counts, kind "simplicial" with entries from f_{-1} or "cubical"
     with entries from f_0."""
@@ -60,7 +59,6 @@ class FVector(_Vector):
         return self._entry(i + 1)
 
 
-@dataclass(frozen=True)
 class HVector(_Vector):
     """h-vector with its convention tag and the dimension it refers to.
 
@@ -72,7 +70,6 @@ class HVector(_Vector):
     h = _Vector._entry
 
 
-@dataclass(frozen=True)
 class GVector(_Vector):
     """Consecutive h-differences, g_0 = h_0; kind "simplicial", "cubical" or
     "short_cubical"."""

@@ -10,10 +10,10 @@ however many verifiers run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, NamedTuple
 
+from ._record import _Record
 from .generators import GeneratedComplex, as_generated
 from .macaulay import pseudopower
 from .report import Check, Precondition, make_report, VerificationReport
@@ -163,8 +163,7 @@ _EULERIAN_POLYTOPAL_SPHERE = _NONEMPTY_PURE + ((_sphere, _polytopal, _even_dim),
 # --------------------------------------------------------------- the registry
 
 
-@dataclass(frozen=True)
-class Verifier:
+class Verifier(_Record):
     """One registry entry: gate stages run in order, then the checks.
 
     The report stops after the first stage with an unmet precondition that

@@ -127,3 +127,32 @@ def test_paired_passes_a_failing_run_exit_code_through(tmp_path):
     assert "exited 7" in done.stderr
     # pair 2 runs CHANGE first, and its failure stops the script there
     assert (tmp_path / "log").read_text().split() == ["base", "change", "change"]
+
+
+def test_paired_refuses_trees_of_which_only_one_holds_compiled_bytecode(tmp_path):
+    runs = [{"metrics": {"items_per_s": 1}}] * 2
+    trees(tmp_path, runs, runs)
+    for side in ("base", "change"):
+        cache = tmp_path / side / "src" / "cubicomb" / "__pycache__"
+        cache.mkdir(parents=True)
+        # a cache directory with no compiled module in it counts as none
+        (cache / "README").write_text("")
+    done = paired(tmp_path, 2)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["items_per_s"]["bytecode_cached"] == {"base": False, "change": False}
+
+    for count in tmp_path.glob("*/count"):
+        count.unlink()
+    (tmp_path / "change" / "src" / "cubicomb" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"")
+    done = paired(tmp_path, 2)
+    assert done.returncode == 2
+    assert str(tmp_path / "change") in done.stderr and "src/cubicomb/__pycache__" in done.stderr
+    assert done.stdout == ""
+    assert (tmp_path / "log").read_text().split() == ["base", "change", "change", "base"]
+
+    (tmp_path / "base" / "src" / "cubicomb" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"")
+    done = paired(tmp_path, 2)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["wall_s"]["bytecode_cached"] == {"base": True, "change": True}

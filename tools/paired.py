@@ -28,6 +28,12 @@ every ``end_to_end`` metric with a ``bound`` it also says whether CHANGE
 times BASE's median, which is a regression past the benchmark's bound.  The
 last line of standard output is the same summary as one JSON object.  A run
 that exits nonzero stops the script with its exit code.
+
+A child that finds the package's compiled bytecode under
+``src/cubicomb/__pycache__`` skips compiling it, which can be a fifth of a
+short process's time.  So the script exits 2, before any run, when one tree
+holds such ``.pyc`` files and the other none, and every metric's row in the
+summary says per side whether the tree had them (``bytecode_cached``).
 """
 
 from __future__ import annotations
@@ -58,6 +64,10 @@ def run(root: Path, command: list[str]) -> dict[str, float]:
             reported = {}
         values.update({name: m["value"] for name, m in reported.items()})
     return values
+
+
+def bytecode_cached(root: Path) -> bool:
+    return any((root / "src" / "cubicomb" / "__pycache__").glob("*.pyc"))
 
 
 def metric_rules(root: Path) -> tuple[set[str], dict[str, float]]:
@@ -94,6 +104,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("need a command after -- and n >= 1")
 
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    cached = {side: bytecode_cached(root) for side, root in sides.items()}
+    if cached["base"] != cached["change"]:
+        side, other = ("base", "change") if cached["base"] else ("change", "base")
+        print(
+            f"error: {sides[side]} has compiled bytecode under src/cubicomb/__pycache__ and "
+            f"{sides[other]} has none; remove it or compile both trees",
+            file=sys.stderr,
+        )
+        return 2
     runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     for i in range(args.n):
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
@@ -119,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             "pairs": args.n,
             "median_ratio": statistics.median(ratios) if ratios else None,
             "claim_met": 10 * won >= 9 * args.n and gap > base_spread["q3"] - base_spread["q1"],
+            "bytecode_cached": cached,
         }
         row = summary[name]
         verdict = ""
