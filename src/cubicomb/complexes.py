@@ -3,11 +3,12 @@
 A face is identified with its vertex set and carries one corner ordering: a
 cubical witness, whose position ``b`` holds the vertex at cube coordinate
 ``b`` (bits read least significant first), or the sorted simplex vertices.
-Both kinds share the closure, which numbers the faces and keeps each vertex
-set as a key of its index, the derived views, which sweep the numbers, and
-the builder that reads a subcomplex off the parent's rows; a kind supplies
-only the subface table of a cell.  The boundary and a simplicial vertex
-link, the faces opposite the vertex, are both such subcomplexes.  A set of
+Both kinds share the closure, which numbers the faces, the derived views,
+which sweep the numbers, and the builder that reads a subcomplex (the
+boundary, or a simplicial vertex link: the faces opposite the vertex) off
+the parent's rows.  A kind supplies the subface table of a cell and its
+closure key, a cube's vertex set or a simplex's witness tuple itself, so
+simplicial builds, links and boundaries make no frozensets.  A set of
 corner positions is a bit mask, and ``_entry_at`` is the one map from masks
 to subface table entries.  The closure accepts a second reading of a cube
 only when it permutes the first's corner positions by a symmetry, which
@@ -17,19 +18,19 @@ meet in a common face, one whose position masks in both cells are subfaces.
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
-lazily and cached on the object; the boundary names its faces on first use,
-from the parent's vertex sets and witnesses, and a simplicial vertex link,
-whose counts are the parent's, builds its whole table on first use.
+lazily and cached on the object; a subcomplex names its faces on first use,
+from the parent's closure keys and witnesses, and a simplicial vertex link
+builds its whole table on first use.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, takewhile
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, Union
 
 from ._record import _Record
 from .vectors import (
@@ -198,7 +199,10 @@ def _check_corners(corners: Sequence[int]) -> None:
 
 
 def _fmt_key(key: Iterable[int]) -> str:
-    return "{%s}" % ", ".join(str(v) for v in sorted(key))
+    try:
+        return "{%s}" % ", ".join(str(v) for v in sorted(key))
+    except TypeError:  # a caller's key of mixed types
+        return str(set(key))
 
 
 class CubicalCell(_Record):
@@ -316,25 +320,24 @@ def _check_pairs(cells: list[int], index, witness) -> list[bool]:
 
 class _FaceTable:
     """The face table both kinds share: every face numbered in the order the
-    closure met it, with its dimension in ``_dims`` and its names, vertex set
-    and witness corners; the numbers of the subface table entries of every
-    cell in ``_ids``, each inclusion-maximal cell's starting at its entry in
-    ``_maximal``, sorted into ``_rows`` on first use; and the views derived
-    from them, the cached ones computed on first use.
-
-    The names (``_index``, each vertex set to its number, and ``_witness``)
-    come from one function called on first use and kept in ``_names``: the
-    closure hands over its dict and list, and a subcomplex (the boundary or
-    a simplicial vertex link) takes its parent's objects from the parent's
-    ``_keys`` and ``_witness``.  ``_keys``, the vertex sets in number order,
-    is the list of the index's keys, made on first use.
-    ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names; ``cells``,
-    ``faces``, ``in``, ``face``, ``==`` and the other views name the table.
-    A simplicial vertex link is made by ``_lazy``: it knows ``dim`` and
-    ``f_counts`` and builds everything else on first use, ``pure`` included.
+    closure met it, with its dimension in ``_dims`` and its names, closure
+    key and witness corners; the numbers of the subface table entries of
+    every cell in ``_ids``, each inclusion-maximal cell's starting at its
+    entry in ``_maximal``, sorted into ``_rows`` on first use; and the views
+    derived from them, the cached ones computed on first use.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
-    a cell, the cell itself first and its vertices last, in corner order.
+    a cell, the cell itself first and its vertices last, in corner order, and
+    ``_key``, its closure key: a cube's vertex set, or a simplex's witness.
+    The names (``_index``, each closure key to its number, and ``_witness``)
+    come from one function called on first use: the closure hands over its
+    dict and list, and a subcomplex takes its parent's ``_ckeys`` and
+    ``_witness`` objects.  ``_keys``, the vertex sets in number order, are a
+    cube's closure keys, and a simplex's frozensets, made on first use for
+    the views keyed by vertex sets (a named vertex link's are its parent's);
+    ``in``, ``face`` and ``_vertex`` convert the caller's key instead.
+    ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names; a vertex link
+    made by ``_lazy`` reads its counts off a function unless it is built first.
     """
 
     def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], names):
@@ -342,17 +345,19 @@ class _FaceTable:
         self.dim: int = max(dims, default=-1)
 
     @classmethod
-    def _lazy(cls, build: Callable[[], tuple], counts: tuple[int, ...]):
-        """A table with these face counts whose ``__init__`` arguments come from ``build``."""
+    def _lazy(cls, build: Callable[[], tuple], counts: Callable[[], tuple[int, ...]]):
+        """A table whose ``__init__`` arguments come from ``build``; until then
+        ``counts``, set in place of the ``f_counts`` method, gives its counts."""
         table = cls.__new__(cls)
-        vars(table).update(_build=build, dim=len(counts) - 1, _f_counts=counts)
+        vars(table).update(_build=build, f_counts=counts)
         return table
 
     def _built(i: int) -> cached_property:
         """Argument i of ``__init__`` for a ``_lazy`` table: the first read of
-        any runs the build function, drops it and sets them all."""
+        any runs the build function, drops it and ``f_counts``, and sets them all."""
         def part(self):
             parts = vars(self).pop("_build")()
+            del self.f_counts  # a built table counts its own faces
             self.__init__(*parts)
             return parts[i]
         return cached_property(part)
@@ -361,15 +366,18 @@ class _FaceTable:
     del _built
 
     @cached_property
-    def _names(self) -> tuple[dict[FaceKey, int], list[tuple[int, ...]]]:
-        """``(index, witness)`` from the names function, which it drops."""
+    def _names(self) -> tuple[dict, list[tuple[int, ...]], list[FaceKey] | None]:
+        """``(index, witness, keys or None)`` from the names function, which it drops."""
         name = self._name
         del self._name
         return name()
 
     _index = property(lambda self: self._names[0])
     _witness = property(lambda self: self._names[1])
-    _keys = cached_property(lambda self: list(self._index))  # in number order, see _close
+    _keys = cached_property(lambda self: self._names[2] or (
+        list(self._index) if self._key is frozenset else list(map(frozenset, self._witness))))
+    _ckeys = property(lambda self: self._keys if self._key is frozenset else self._witness)
+    dim = cached_property(lambda self: len(self.f_counts()) - 1)  # an unbuilt lazy table's
 
     @cached_property
     def _rows(self) -> array:
@@ -393,22 +401,22 @@ class _FaceTable:
 
         Returns ``_dims``, ``_ids``, the row in ``_ids`` of each cell whose
         vertex set was not yet a face, and a function giving the names.  A new
-        face enters ``index`` with the number ``len(index)``, so the index's
-        keys are the vertex sets in number order.  A cell whose vertex set was
-        already a face lies in an earlier cell and adds nothing.  Every
+        face enters ``index`` under ``_key`` of its corners with the number
+        ``len(index)``, so the keys are in number order.  A cell whose vertex
+        set was already a face lies in an earlier cell and adds nothing.  Every
         face of dimension 2 or more met again must read as its witness or a
         cube symmetry of it; sorted simplex corners always read the same.
         """
-        table = cls._table
-        index: dict[FaceKey, int] = {}
-        vertex: dict[int, int] = {}  # the vertex entries, numbered without a frozenset
+        table, key_of = cls._table, cls._key
+        index: dict = {}
+        vertex: dict[int, int] = {}  # the vertex entries, numbered without a key
         dims = bytearray()
         witness: list[tuple[int, ...]] = []
         ids = array("i")
         rows = array("i")
         add_dim, add_witness, add_id = dims.append, witness.append, ids.append
         for dim, corners in cells:
-            n = index.get(frozenset(corners))
+            n = index.get(key_of(corners))
             if n is not None:
                 if dim > 1 and witness[n] != corners:
                     _same_cube(witness[n], corners)
@@ -418,7 +426,7 @@ class _FaceTable:
             # Every entry but the last len(corners), which are the vertices.
             for j, read in entries[: len(entries) - len(corners)]:
                 sub = read(corners)
-                key = frozenset(sub)
+                key = key_of(sub)
                 n = index.get(key)
                 if n is None:
                     n = index[key] = len(index)
@@ -430,19 +438,19 @@ class _FaceTable:
             for v in corners:
                 n = vertex.get(v)
                 if n is None:
-                    key, sub = frozenset((v,)), (v,)
-                    n = vertex[v] = index[key] = len(index)
+                    sub = (v,)
+                    n = vertex[v] = index[key_of(sub)] = len(index)
                     add_dim(0)
                     add_witness(sub)
                 add_id(n)
-        return dims, ids, rows, lambda: (index, witness)
+        return dims, ids, rows, lambda: (index, witness, None)
 
     def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]]):
         """A subcomplex read off this table with no closure lookups: each cell
         is a row here and the offsets in it of the cell's own subface entries,
         in its table order.  The faces are numbered as those entries first
         meet them, and on first use they are named from this table's
-        ``_keys`` and ``_witness``: the same objects, not copies."""
+        ``_ckeys`` and ``_witness``: the same objects, not copies."""
         ids, dims, seq, rows = self._ids, self._dims, array("i"), array("i")
         for row, offsets in cells:
             rows.append(len(seq))
@@ -450,11 +458,11 @@ class _FaceTable:
         order = list(dict.fromkeys(seq))
         number = dict(zip(order, range(len(order))))
         # The lists, not self: a boundary cached on its parent must not hold it.
-        keys, witness = self._keys, self._witness
+        keys, witness = self._ckeys, self._witness
 
         def names():
             sub = [keys[m] for m in order]
-            return dict(zip(sub, range(len(sub)))), [witness[m] for m in order]
+            return dict(zip(sub, range(len(sub)))), [witness[m] for m in order], None
 
         sub_dims = bytearray([dims[m] for m in order])
         return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
@@ -463,7 +471,15 @@ class _FaceTable:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
 
     def __contains__(self, key: Iterable[int]) -> bool:
-        return frozenset(key) in self._index
+        return self._number(key) is not None
+
+    def _number(self, key: Iterable[int]) -> int | None:
+        """The face number of the vertex set ``key``, read into a closure key once."""
+        key = frozenset(key)
+        try:
+            return self._index.get(self._key(sorted(key)))
+        except TypeError:  # vertices of more than one type are no face's
+            return None
 
     def __eq__(self, other: object):
         if not isinstance(other, type(self)):
@@ -487,7 +503,7 @@ class _FaceTable:
         return Face(self._keys[n], self._dims[n], self._witness[n])
 
     def face(self, key: Iterable[int]) -> Face:
-        n = self._index.get(frozenset(key))
+        n = self._number(key)
         if n is None:
             raise UnknownFace(_fmt_key(key))
         return self._face(n)
@@ -506,7 +522,7 @@ class _FaceTable:
 
     def _vertex(self, v: int) -> int:
         gated = isinstance(v, int) and not isinstance(v, bool)  # as the cell gate's ids
-        n = self._index.get(frozenset((v,))) if gated else None
+        n = self._index.get(self._key((v,))) if gated else None
         if n is None:
             raise UnknownVertex(str(v))
         return n
@@ -568,17 +584,18 @@ class _FaceTable:
         return all(self._dims[self._ids[r]] == self.dim for r in self._maximal)
 
     def ridge_degrees(self) -> dict[FaceKey, int]:
-        """How many facets contain each ridge.  Needs a pure complex."""
-        if not self.pure:
-            raise NotPure("ridge degrees are only defined for pure complexes")
-        return self._ridges[0]
+        """How many facets contain each ridge, by vertex set.  Needs a pure complex."""
+        degrees = self._ridges[0]
+        return dict(zip(map(frozenset, degrees), degrees.values()))
 
     @cached_property
-    def _ridges(self) -> tuple[dict[FaceKey, int], tuple[int, ...], array]:
+    def _ridges(self) -> tuple[dict, tuple[int, ...], array]:
         """One sweep over the facet entries of a pure complex's rows: how many
-        facets hold each ridge, the facet entries, and the place i in the sweep
-        of each ridge in one facet, at row i // len(facets), i % len(facets)."""
-        ids, keys = self._ids, self._keys
+        facets hold each ridge by closure key, the facet entries, and the place i
+        in the sweep of each ridge in one facet, at row i // len(facets), i % len(facets)."""
+        if not self.pure:
+            raise NotPure("ridge degrees are only defined for pure complexes")
+        ids, keys = self._ids, self._ckeys
         facets = _facet_tables(self._table, self.dim) if self._rows else ()
         ridges = [keys[ids[row + e]] for row in self._rows for e in facets]
         degrees = Counter(ridges)
@@ -618,9 +635,8 @@ class _FaceTable:
         its own, or, when a contained cell met it first with another witness,
         the entries at the masks its own subface table reads from the bits
         of its corner positions in the facet."""
-        self.ridge_degrees()  # refuses a complex that is not pure
+        table, d, (_, facets, free) = self._table, self.dim, self._ridges  # refuses an impure one
         ids, witness = self._ids, self._witness
-        table, d, (_, facets, free) = self._table, self.dim, self._ridges
         cells = []
         for row, e in ((self._rows[i // len(facets)], facets[i % len(facets)]) for i in free):
             corners, sub = witness[ids[row]], witness[ids[row + e]]
@@ -637,6 +653,7 @@ class CubicalComplex(_FaceTable):
 
     kind = "cubical"
     _table = staticmethod(_subface_tables)
+    _key = frozenset
 
     @classmethod
     def from_cells(
@@ -673,7 +690,7 @@ class CubicalComplex(_FaceTable):
         if validate:
             # A cell inside an earlier one has no row, and any pair it fails
             # its container fails first in scan order.
-            rows = list(compress(rows, _check_pairs([ids[r] for r in rows], *names())))
+            rows = list(compress(rows, _check_pairs([ids[r] for r in rows], *names()[:2])))
         return cls(dims, ids, rows, names)
 
     @cached_property
@@ -720,24 +737,28 @@ class SimplicialComplex(_FaceTable):
 
     kind = "simplicial"
     _table = staticmethod(_simplex_tables)
+    _key = tuple  # the witness itself: from_facets and link_face pass ascending tuples
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given facets; contained facets are dropped.
 
-        Each facet passes the cell gate before it is sorted: with no vertex
-        repeated, its sorted tuple stands for its vertex set and is the form
-        the closure reads.  The facets are closed largest first, so a
-        contained facet is already a face when its turn comes and the
-        closure leaves it out.
+        Each facet passes the cell gate, whose error carries its position as
+        ``facet``, before it is sorted: with no vertex repeated, its sorted
+        tuple stands for its vertex set and is the form the closure reads.
+        The facets are closed largest first, so a contained facet is already
+        a face when its turn comes and the closure leaves it out.
         """
         distinct = set()
-        for f in facets:
+        for i, f in enumerate(facets):
             try:
                 f = tuple(f)
+                _check_corners(f)
             except TypeError:
                 raise ValueError(f"a facet must be an iterable of vertex ids, got {f!r}") from None
-            _check_corners(f)
+            except ValueError as e:
+                e.facet = i
+                raise
             distinct.add(tuple(sorted(f)))
         distinct.discard(())
         if not distinct:
@@ -763,14 +784,24 @@ class SimplicialComplex(_FaceTable):
 
     def link(self, v: int) -> "SimplicialComplex":
         """The faces opposite ``v``, those F without ``v`` where F | {v} is a
-        face.  Its counts come from the coface counts of ``v`` and its table,
-        on first use of anything else, from its ``_link_cells``."""
+        face.  Its counts come from the coface counts of ``v`` unless it is built
+        first, its table from its ``_link_cells``, and its names from this table."""
         self._vertex(v)
-        counts = _link_counts(self.vertex_coface_counts[v])
-        return SimplicialComplex._lazy(lambda: self._subcomplex(self._link_cells[v]), counts)
+
+        def build():
+            dims, ids, rows, names = self._subcomplex(self._link_cells[v])
+
+            def named():
+                index, witness, _ = names()
+                keys, number = self._keys, self._index
+                return index, witness, [keys[number[key]] for key in index]
+
+            return dims, ids, rows, named
+
+        return SimplicialComplex._lazy(build, lambda: _link_counts(self.vertex_coface_counts[v]))
 
 
-Complex = Union[CubicalComplex, SimplicialComplex]
+Complex = CubicalComplex | SimplicialComplex
 
 
 def build_cubical(cells: Iterable[CubicalCell]) -> CubicalComplex:

@@ -13,7 +13,6 @@ tag raise :class:`ValidationFailed`.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .complexes import (
     ComplexError,
@@ -49,7 +48,7 @@ def to_document(x) -> dict:
     """Plain-data form of a complex with its metadata."""
     gc = as_generated(x)
     C = gc.complex
-    doc: dict[str, Any] = {
+    doc: dict[str, object] = {
         "format_version": FORMAT_VERSION,
         "kind": C.kind,
         "dim": C.dim,
@@ -73,7 +72,7 @@ def serialize(x, path) -> None:
         fh.write(serializes(x))
 
 
-def _need(doc: dict, field: str, types) -> Any:
+def _need(doc: dict, field: str, types):
     if field not in doc:
         raise ParseError(f"missing field {field!r}")
     value = doc[field]
@@ -120,31 +119,32 @@ def parses(text: str) -> GeneratedComplex:
     if "provenance" in doc:
         provenance = _need(doc, "provenance", str)
 
-    cells = []
-    for idx, raw in enumerate(raw_cells):
-        where = f"cells[{idx}]"
-        if not isinstance(raw, list) or not raw:
-            raise ParseError("each cell is a nonempty list of vertex ids", where=where)
-        n = len(raw)
-        try:
-            if kind == "cubical" and not n & (n - 1):
-                cells.append(CubicalCell(n.bit_length() - 1, tuple(raw)))
-                continue
-            _check_corners(raw)  # an id error wins over the corner count
-        except ValueError as e:
-            raise ParseError(str(e), where=where) from None
-        if kind == "cubical":
-            raise ParseError(
-                f"a cubical cell needs a power-of-two corner count, got {n}", where=where
-            )
-        cells.append(raw)
+    def cells():  # one at a time, so a builder meets a bad cell in document order
+        for idx, raw in enumerate(raw_cells):
+            where = f"cells[{idx}]"
+            if not isinstance(raw, list) or not raw:
+                raise ParseError("each cell is a nonempty list of vertex ids", where=where)
+            n = len(raw)
+            try:
+                if kind == "cubical" and not n & (n - 1):
+                    raw = CubicalCell(n.bit_length() - 1, tuple(raw))
+                elif kind == "cubical":
+                    _check_corners(raw)  # an id error wins over the corner count
+                    raise ValueError(f"a cubical cell needs a power-of-two corner count, got {n}")
+            except ValueError as e:
+                raise ParseError(str(e), where=where) from None
+            yield raw  # from_facets gates a simplicial facet and names its position
 
     try:
         if kind == "cubical":
-            C = CubicalComplex.from_cells(cells) if cells else CubicalComplex.empty()
+            C = CubicalComplex.from_cells(cells()) if raw_cells else CubicalComplex.empty()
         else:
-            C = SimplicialComplex.from_facets(cells) if cells else SimplicialComplex.empty()
-    except ComplexError as e:
+            C = SimplicialComplex.from_facets(cells()) if raw_cells else SimplicialComplex.empty()
+    except ValueError as e:
+        if hasattr(e, "facet"):
+            raise ParseError(str(e), where=f"cells[{e.facet}]") from None
+        if not isinstance(e, ComplexError):
+            raise
         raise ValidationFailed(f"cells do not form a complex: {e}") from e
     if C.dim != dim:
         raise ValidationFailed(f"declared dim {dim} but the cells span dim {C.dim}")

@@ -98,7 +98,7 @@ def check_topology_metadata(gc: GeneratedComplex) -> None:
     elif tag == "manifold-with-boundary":
         if not C.pure:
             raise ValidationFailed("topology 'manifold-with-boundary' needs a pure complex")
-        degrees = set(C.ridge_degrees().values())
+        degrees = set(C._ridges[0].values())
         if not degrees <= {1, 2}:
             raise ValidationFailed(
                 f"topology 'manifold-with-boundary' allows ridge degrees 1 and 2, got {sorted(degrees)}"

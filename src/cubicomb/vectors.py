@@ -9,12 +9,11 @@ error, not a silent reinterpretation.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING
 
 from ._record import _Record
 
-if TYPE_CHECKING:
-    from .complexes import Complex, CubicalComplex
+# ``Complex`` and ``CubicalComplex`` in annotations are those of ``complexes``,
+# which imports this module.
 
 __all__ = [
     "FVector",

@@ -117,7 +117,7 @@ _nonempty_boundary_unless_point = _on_boundary(
 
 
 def _ridges_in_one_or_two(gc: GeneratedComplex) -> Precondition:
-    degrees = set(gc.complex.ridge_degrees().values())
+    degrees = set(gc.complex._ridges[0].values())  # the degrees only, by closure key
     return Precondition(
         "every ridge lies in one or two facets", degrees <= {1, 2}, f"degrees {sorted(degrees)}"
     )

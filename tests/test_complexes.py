@@ -537,6 +537,67 @@ def test_counted_links_and_boundaries_never_name_their_faces():
     assert not any({"_build", "_name"} & vars(link).keys() for link in links)
 
 
+def test_simplicial_builds_links_and_boundaries_make_no_vertex_sets():
+    ball = stacked_simplicial_ball(4, 60, seed=5)
+    S = ball.complex
+    run_suite("ns-ds", ball)
+    counts = [S.link(v).f_counts() for v in S.vertices]
+    assert boundary_complex(S).f_counts() and len(counts) == len(S.vertices)
+    for C in (S, S.boundary):
+        assert not {"_keys", "faces"} & vars(C).keys()
+
+
+def check_simplicial_keys(S):
+    """Every key of a simplicial index is its face's witness object, in number
+    order, and a caller's key is read as a vertex set, as a cube reads it."""
+    assert list(S._index.values()) == list(range(len(S._witness)))
+    assert all(key is w for key, w in zip(S._index, S._witness))
+    top = S.cells[-1].corners
+    for key in (top[::-1], list(top[1:] + top[:1]), frozenset(top), top + top[:1]):
+        assert key in S and S.face(key) == S.face(top)
+    outside = (*top, max(S.vertices) + 1)
+    assert "x" not in S and ["x", 1] not in S and outside not in S
+    for key in (["x", 1], outside):
+        with pytest.raises(UnknownFace):
+            S.face(key)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        stacked_simplicial_ball(3, 20, seed=2).complex,
+        build_simplicial([[3, 1, 2], [2, 5], [7]]),
+        link_face(solid_cube(3).complex, {0}),
+        link_face(cubical_torus(3, 3, 3).complex, {0, 1}),
+    ],
+)
+def test_a_simplicial_index_is_keyed_by_its_witnesses(S):
+    check_simplicial_keys(S)
+
+
+def test_a_cubical_face_is_looked_up_by_its_vertex_set():
+    K = build_cubical([SQUARE])
+    for key in ((1, 0), [0, 1], frozenset({0, 1}), (1, 0, 1)):
+        assert key in K and K.face(key) == K.face({0, 1})
+    assert "x" not in K and ["x", 1] not in K
+    with pytest.raises(UnknownFace):
+        K.face(["x", 1])
+
+
+def test_building_links_first_reads_no_coface_counts():
+    S = stacked_simplicial_ball(3, 40, gluing="tree", seed=3).complex
+    links = [S.link(v) for v in S.vertices]
+    assert all(len(link._ids) for link in links)
+    assert "vertex_coface_counts" not in vars(S)
+    # Built first, a link counts its own table, and its counts are the parent's.
+    assert [link.f_counts() for link in links] == [
+        complexes._link_counts(S.vertex_coface_counts[v]) for v in S.vertices
+    ]
+    assert not any({"f_counts", "_build"} & vars(link).keys() for link in links)
+    with pytest.raises(UnknownVertex):
+        S.link(max(S.vertices) + 1)
+
+
 @pytest.mark.parametrize(
     "generated", [stacked_simplicial_ball(4, 60, gluing="tree", seed=3), cross_polytope_boundary(3)]
 )

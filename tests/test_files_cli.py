@@ -289,6 +289,40 @@ def test_parse_gates_each_cubical_cell_once(monkeypatch):
     assert len(calls) == len(torus.complex.cells) == 64
 
 
+def test_parse_gates_each_simplicial_facet_once(monkeypatch):
+    calls = []
+    gate = complexes._check_corners
+
+    def counted(corners):
+        calls.append(corners)
+        return gate(corners)
+
+    monkeypatch.setattr(complexes, "_check_corners", counted)
+    monkeypatch.setattr(files, "_check_corners", counted)
+    ball = stacked_simplicial_ball(3, 40, seed=2)
+    text = serializes(ball)
+    calls.clear()
+    assert parses(text) == ball
+    assert len(calls) == len(ball.complex.cells) == 40
+
+
+@pytest.mark.parametrize("kind", ["cubical", "simplicial"])
+def test_parse_names_the_first_bad_cell_in_document_order(kind):
+    cells = [[0, 1], [2, -2], [], [5, 5]]
+    doc = {"format_version": "1", "kind": kind, "dim": 1, "cells": cells}
+    with pytest.raises(ParseError) as err:
+        parses(json.dumps(doc))
+    assert str(err.value) == "cells[1]: " + ID_ERROR + "-2"
+    doc["cells"] = [[0, 1], [3, 3], "x", [0, -1]]
+    with pytest.raises(ParseError) as err:
+        parses(json.dumps(doc))
+    assert str(err.value) == "cells[1]: cell repeats a vertex"
+    doc["cells"] = [[0, 1], 7, [3, 3]]
+    with pytest.raises(ParseError) as err:
+        parses(json.dumps(doc))
+    assert str(err.value) == "cells[1]: each cell is a nonempty list of vertex ids"
+
+
 BOWTIE_TEXT = serializes(
     GeneratedComplex(
         build_simplicial([[1, 2, 3], [3, 4, 5]]), "manifold-with-boundary", "bowtie"

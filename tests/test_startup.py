@@ -1,10 +1,11 @@
 """What a ``cubicomb`` process loads.
 
 ``import cubicomb.cli`` loads neither ``dataclasses`` (nor the ``inspect``
-it pulls in) nor the verification half of the package: ``verify``,
-``report`` and ``macaulay`` load when ``verify`` runs or when one of their
-names is first read from the package.  Each check runs in a fresh
-``python -S`` child, so that no module the test runner loaded counts.
+it pulls in), ``typing``, nor the verification half of the package:
+``verify``, ``report`` and ``macaulay``, which need ``typing``, load when
+``verify`` runs or when one of their names is first read from the package.
+Each check runs in a fresh ``python -S`` child, so that no module the test
+runner loaded counts (``site`` may load ``typing``).
 """
 
 import json
@@ -14,7 +15,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-UNLOADED = ("dataclasses", "inspect", "cubicomb.verify", "cubicomb.report", "cubicomb.macaulay")
+UNLOADED = (
+    "dataclasses", "inspect", "typing", "cubicomb.verify", "cubicomb.report", "cubicomb.macaulay"
+)
 
 
 def child(code: str) -> list:
@@ -48,7 +51,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     run = f"""import cubicomb.cli as cli, contextlib, io
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.entry(["verify", "all", {str(doc)!r}]) == 0"""
-    assert child(loaded(run)) == ["cubicomb.verify", "cubicomb.report", "cubicomb.macaulay"]
+    assert child(loaded(run)) == ["typing", "cubicomb.verify", "cubicomb.report", "cubicomb.macaulay"]
 
 
 def test_lazily_loaded_names_resolve():
