@@ -6,9 +6,9 @@ cubical witness, whose position ``b`` holds the vertex at cube coordinate
 Both kinds share the closure, which numbers the faces, the derived views,
 which sweep the numbers, and the builder that reads a subcomplex (the
 boundary, or a simplicial vertex link: the faces opposite the vertex) off
-the parent's rows.  A kind supplies the subface table of a cell and its
-closure key, a cube's vertex set or a simplex's witness tuple itself, so
-simplicial builds, links and boundaries make no frozensets.  A set of
+the parent's rows.  A kind supplies the subface table of a cell, its closure
+key (a cube's vertex set or a simplex's witness itself) and its key lists,
+so simplicial builds, links and boundaries make no frozensets.  A set of
 corner positions is a bit mask, and ``_entry_at`` is the one map from masks
 to subface table entries.  The closure accepts a second reading of a cube
 only when it permutes the first's corner positions by a symmetry, which
@@ -18,9 +18,9 @@ meet in a common face, one whose position masks in both cells are subfaces.
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
-lazily and cached on the object; a subcomplex names its faces on first use,
-from the parent's closure keys and witnesses, and a simplicial vertex link
-builds its whole table on first use.
+lazily and cached on the object.  Every lazy part of a table is set on
+first use by one mechanism: a subcomplex names its faces from the parent's
+closure keys and witnesses, and a vertex link also builds its table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, takewhile
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from ._record import _Record
 from .vectors import (
@@ -327,56 +327,50 @@ class _FaceTable:
     derived from them, the cached ones computed on first use.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
-    a cell, the cell itself first and its vertices last, in corner order, and
-    ``_key``, its closure key: a cube's vertex set, or a simplex's witness.
-    The names (``_index``, each closure key to its number, and ``_witness``)
-    come from one function called on first use: the closure hands over its
-    dict and list, and a subcomplex takes its parent's ``_ckeys`` and
-    ``_witness`` objects.  ``_keys``, the vertex sets in number order, are a
-    cube's closure keys, and a simplex's frozensets, made on first use for
-    the views keyed by vertex sets (a named vertex link's are its parent's);
-    ``in``, ``face`` and ``_vertex`` convert the caller's key instead.
-    ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names; a vertex link
-    made by ``_lazy`` reads its counts off a function unless it is built first.
+    a cell, the cell itself first and its vertices last, in corner order;
+    ``_key``, its closure key, a cube's vertex set or a simplex's witness; and
+    its key lists in number order: ``_ckeys``, the closure keys, and
+    ``_keys``, the vertex sets, a cube's closure keys or a simplex's own
+    frozensets made on first use.  ``in``, ``face`` and ``_vertex`` read the
+    caller's key once into a closure key instead.  ``_first_use`` sets each
+    lazy group: ``_dims``, ``_ids``, ``_maximal`` and ``_name`` from a
+    ``_lazy`` table's build, and the names, ``_index`` (each closure key to
+    its number) and ``_witness``, from ``_name``; a subcomplex's, a boundary's
+    or a vertex link's alike, are its parent's ``_ckeys`` and ``_witness``
+    objects.  ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names.
     """
 
-    def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], names):
-        self._dims, self._ids, self._maximal, self._name = dims, ids, rows, names
+    def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], name):
+        self._dims, self._ids, self._maximal, self._name = dims, ids, rows, name
         self.dim: int = max(dims, default=-1)
 
     @classmethod
     def _lazy(cls, build: Callable[[], tuple], counts: Callable[[], tuple[int, ...]]):
-        """A table whose ``__init__`` arguments come from ``build``; until then
-        ``counts``, set in place of the ``f_counts`` method, gives its counts."""
+        """A table whose ``__init__`` arguments come from ``build`` on first
+        use; until then ``counts``, set in place of the ``f_counts`` method,
+        gives its counts and its cached ``dim``."""
         table = cls.__new__(cls)
         vars(table).update(_build=build, f_counts=counts)
         return table
 
-    def _built(i: int) -> cached_property:
-        """Argument i of ``__init__`` for a ``_lazy`` table: the first read of
-        any runs the build function, drops it and ``f_counts``, and sets them all."""
-        def part(self):
-            parts = vars(self).pop("_build")()
-            del self.f_counts  # a built table counts its own faces
-            self.__init__(*parts)
-            return parts[i]
-        return cached_property(part)
+    def _first_use(source: str, settle: Callable, n: int) -> list[cached_property]:
+        """``n`` cached attributes set together on the first read of any, which
+        calls the function at ``source``, drops it and a ``_lazy`` table's
+        counts, and has ``settle`` set all ``n`` values the function returned."""
+        def read(self) -> tuple:
+            parts = getattr(self, source)()
+            delattr(self, source)
+            vars(self).pop("f_counts", None)  # a built table counts its own faces
+            settle(self, *parts)
+            return parts
+        return [cached_property(lambda self, i=i: read(self)[i]) for i in range(n)]
 
-    _dims, _ids, _maximal, _name = map(_built, range(4))
-    del _built
+    def _named(self, index: dict, witness: list[tuple[int, ...]]) -> None:
+        self._index, self._witness = index, witness
 
-    @cached_property
-    def _names(self) -> tuple[dict, list[tuple[int, ...]], list[FaceKey] | None]:
-        """``(index, witness, keys or None)`` from the names function, which it drops."""
-        name = self._name
-        del self._name
-        return name()
-
-    _index = property(lambda self: self._names[0])
-    _witness = property(lambda self: self._names[1])
-    _keys = cached_property(lambda self: self._names[2] or (
-        list(self._index) if self._key is frozenset else list(map(frozenset, self._witness))))
-    _ckeys = property(lambda self: self._keys if self._key is frozenset else self._witness)
+    _dims, _ids, _maximal, _name = _first_use("_build", __init__, 4)
+    _index, _witness = _first_use("_name", _named, 2)
+    del _first_use, _named
     dim = cached_property(lambda self: len(self.f_counts()) - 1)  # an unbuilt lazy table's
 
     @cached_property
@@ -443,7 +437,7 @@ class _FaceTable:
                     add_dim(0)
                     add_witness(sub)
                 add_id(n)
-        return dims, ids, rows, lambda: (index, witness, None)
+        return dims, ids, rows, lambda: (index, witness)
 
     def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]]):
         """A subcomplex read off this table with no closure lookups: each cell
@@ -462,7 +456,7 @@ class _FaceTable:
 
         def names():
             sub = [keys[m] for m in order]
-            return dict(zip(sub, range(len(sub)))), [witness[m] for m in order], None
+            return dict(zip(sub, range(len(sub)))), [witness[m] for m in order]
 
         sub_dims = bytearray([dims[m] for m in order])
         return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
@@ -471,11 +465,10 @@ class _FaceTable:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
 
     def __contains__(self, key: Iterable[int]) -> bool:
-        return self._number(key) is not None
+        return self._number(frozenset(key)) is not None
 
-    def _number(self, key: Iterable[int]) -> int | None:
-        """The face number of the vertex set ``key``, read into a closure key once."""
-        key = frozenset(key)
+    def _number(self, key: frozenset) -> int | None:
+        """The face number of the vertex set ``key``, read into a closure key."""
         try:
             return self._index.get(self._key(sorted(key)))
         except TypeError:  # vertices of more than one type are no face's
@@ -503,6 +496,7 @@ class _FaceTable:
         return Face(self._keys[n], self._dims[n], self._witness[n])
 
     def face(self, key: Iterable[int]) -> Face:
+        key = frozenset(key)  # read once: the message names what the lookup read
         n = self._number(key)
         if n is None:
             raise UnknownFace(_fmt_key(key))
@@ -654,6 +648,8 @@ class CubicalComplex(_FaceTable):
     kind = "cubical"
     _table = staticmethod(_subface_tables)
     _key = frozenset
+    _keys = cached_property(lambda self: list(self._index))
+    _ckeys = property(attrgetter("_keys"))
 
     @classmethod
     def from_cells(
@@ -690,7 +686,7 @@ class CubicalComplex(_FaceTable):
         if validate:
             # A cell inside an earlier one has no row, and any pair it fails
             # its container fails first in scan order.
-            rows = list(compress(rows, _check_pairs([ids[r] for r in rows], *names()[:2])))
+            rows = list(compress(rows, _check_pairs([ids[r] for r in rows], *names())))
         return cls(dims, ids, rows, names)
 
     @cached_property
@@ -738,6 +734,8 @@ class SimplicialComplex(_FaceTable):
     kind = "simplicial"
     _table = staticmethod(_simplex_tables)
     _key = tuple  # the witness itself: from_facets and link_face pass ascending tuples
+    _keys = cached_property(lambda self: list(map(frozenset, self._witness)))
+    _ckeys = property(attrgetter("_witness"))
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -784,21 +782,13 @@ class SimplicialComplex(_FaceTable):
 
     def link(self, v: int) -> "SimplicialComplex":
         """The faces opposite ``v``, those F without ``v`` where F | {v} is a
-        face.  Its counts come from the coface counts of ``v`` unless it is built
-        first, its table from its ``_link_cells``, and its names from this table."""
+        face, named as the boundary is.  Its counts come from the coface counts
+        of ``v`` unless it is built first, and its table from ``_link_cells``."""
         self._vertex(v)
-
-        def build():
-            dims, ids, rows, names = self._subcomplex(self._link_cells[v])
-
-            def named():
-                index, witness, _ = names()
-                keys, number = self._keys, self._index
-                return index, witness, [keys[number[key]] for key in index]
-
-            return dims, ids, rows, named
-
-        return SimplicialComplex._lazy(build, lambda: _link_counts(self.vertex_coface_counts[v]))
+        return SimplicialComplex._lazy(
+            lambda: self._subcomplex(self._link_cells[v]),
+            lambda: _link_counts(self.vertex_coface_counts[v]),
+        )
 
 
 Complex = CubicalComplex | SimplicialComplex

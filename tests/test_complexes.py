@@ -524,7 +524,7 @@ def test_counted_links_and_boundaries_never_name_their_faces():
     verify_cubical_boundary_ds(pile)
     assert "boundary" in vars(ball.complex) and "boundary" in vars(pile.complex)
     for sub in links + [ball.complex.boundary, pile.complex.boundary]:
-        assert "_names" not in vars(sub) and "_rows" not in vars(sub)
+        assert not {"_index", "_witness", "_rows"} & vars(sub).keys()
     # A counted link holds no table of its own.
     assert all(repr(link) and link.dim == len(c) - 1 for link, c in zip(links, counts))
     assert not any({"_dims", "_ids", "_maximal", "_name"} & vars(link).keys() for link in links)
@@ -584,6 +584,25 @@ def test_a_cubical_face_is_looked_up_by_its_vertex_set():
         K.face(["x", 1])
 
 
+@pytest.mark.parametrize("K", [solid_cube(2).complex, simplex(3).complex])
+def test_face_reads_the_callers_key_once_and_names_it(K):
+    for key in ([5, 0], (5, 0), {0, 5}, iter([0, 5]), (v for v in (5, 0))):
+        with pytest.raises(UnknownFace) as err:
+            K.face(key)
+        assert str(err.value) == "{0, 5}"
+    assert K.face(iter([0, 1])) == K.face(v for v in (1, 0)) == K.face({0, 1})
+    with pytest.raises(UnknownFace) as err:
+        K.face(iter([0, "x"]))
+    assert str(err.value) == str({0, "x"})
+
+
+def test_naming_a_vertex_link_makes_no_vertex_sets_on_its_parent():
+    S = stacked_simplicial_ball(4, 60, gluing="tree", seed=3).complex
+    v = S.vertices[0]
+    assert S.link(v).cells
+    assert not {"_keys", "faces"} & vars(S).keys()
+
+
 def test_building_links_first_reads_no_coface_counts():
     S = stacked_simplicial_ball(3, 40, gluing="tree", seed=3).complex
     links = [S.link(v) for v in S.vertices]
@@ -608,7 +627,7 @@ def test_a_vertex_link_is_made_of_its_parents_faces(generated):
         assert set(link.faces) == {F for F in S.faces if v not in F and F | {v} in S}
         for F in link.faces.values():
             G = S.face(F.key)
-            assert F.key is G.key and F.corners is G.corners
+            assert F.key == G.key and F.corners is G.corners
 
 
 def test_a_cached_boundary_does_not_keep_its_parent_alive():

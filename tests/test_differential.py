@@ -107,7 +107,7 @@ def read_counts_first(build, unbuilt=False):
     if unbuilt:
         assert {"_dims", "_ids", "_maximal", "_name"}.isdisjoint(vars(counted))
     reads = (*counts, counted.pure)
-    assert "_names" not in vars(counted)
+    assert not {"_index", "_witness"} & vars(counted).keys()
     named = build()
     named.faces
     assert (named.f_counts(), named.dim, named.pure) == reads

@@ -25,6 +25,7 @@ from cubicomb import (
     serializes,
     solid_cube,
     stacked_simplicial_ball,
+    stacked_sphere,
 )
 from cubicomb import cli, complexes, files
 from cubicomb.cli import entry
@@ -504,6 +505,14 @@ def test_cli_verify_all_and_machine(tmp_path, capsys):
     assert "adin-dehn-sommerville" in names and "vertex-count-lower-bound" in names
     assert all(r["status"] in ("pass", "inapplicable") for r in reports)
     assert any(r["status"] == "pass" for r in reports)
+
+
+def test_cli_verify_all_on_a_closed_simplicial_sphere_has_no_applicable_suite(tmp_path, capsys):
+    # The one simplicial verifier needs a boundary; the g-theorem conditions
+    # are library-only, so nothing applies and the exit code is 3.
+    sphere = _write(tmp_path, "sphere.json", serializes(stacked_sphere(3, 20)))
+    assert entry(["verify", "all", sphere]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "0 passed, 0 failed, 1 inapplicable"
 
 
 def test_cli_verify_kind_mismatch_and_unknown_suite(tmp_path, capsys):
