@@ -18,17 +18,18 @@ meet in a common face, one whose position masks in both cells are subfaces.
 Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
-lazily and cached on the object.  Every lazy part of a table is set on
-first use by one mechanism: a subcomplex names its faces from the parent's
-closure keys and witnesses, and a vertex link also builds its table.
+lazily by one descriptor, ``_cached``, which pauses the cycle collector as
+builds do and caches on the object: a subcomplex names its faces from the
+parent's closure keys and witnesses, and a vertex link also builds its table.
 """
 
 from __future__ import annotations
 
+import gc
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from itertools import chain, combinations, compress, takewhile
 from operator import attrgetter, itemgetter
 
@@ -318,13 +319,49 @@ def _check_pairs(cells: list[int], index, witness) -> list[bool]:
     return maximal
 
 
+def _paused(run: Callable) -> Callable:
+    """``run`` with the cycle collector paused if it is on: builds and views make
+    a tuple or key per face and no cycle, so its collections would find nothing.
+    Pauses nest: the outermost call turns the collector back on, also when an
+    exception leaves ``run``, and a collector the caller turned off stays off.
+    The caller's iterable is read while paused, its cycles collected after the
+    build returns; the pause is process-wide, so other threads' garbage waits."""
+    @wraps(run)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return run(*args, **kwargs)
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+class _cached:
+    """A non-data descriptor: the first read computes the value under
+    :func:`_paused`, with no lock, into the instance ``__dict__``."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.__doc__ = _paused(func), func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)  # setdefault raised peak RSS on 3.11
+        return value
+
+
 class _FaceTable:
     """The face table both kinds share: every face numbered in the order the
     closure met it, with its dimension in ``_dims`` and its names, closure
     key and witness corners; the numbers of the subface table entries of
     every cell in ``_ids``, each inclusion-maximal cell's starting at its
     entry in ``_maximal``, sorted into ``_rows`` on first use; and the views
-    derived from them, the cached ones computed on first use.
+    derived from them, each cached one read through ``_cached``.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
     a cell, the cell itself first and its vertices last, in corner order;
@@ -333,11 +370,11 @@ class _FaceTable:
     ``_keys``, the vertex sets, a cube's closure keys or a simplex's own
     frozensets made on first use.  ``in``, ``face`` and ``_vertex`` read the
     caller's key once into a closure key instead.  ``_first_use`` sets each
-    lazy group: ``_dims``, ``_ids``, ``_maximal`` and ``_name`` from a
-    ``_lazy`` table's build, and the names, ``_index`` (each closure key to
-    its number) and ``_witness``, from ``_name``; a subcomplex's, a boundary's
-    or a vertex link's alike, are its parent's ``_ckeys`` and ``_witness``
-    objects.  ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names.
+    lazy group's ``_cached`` parts: ``_dims``, ``_ids``, ``_maximal`` and
+    ``_name`` from a ``_lazy`` table's build, and the names, ``_index`` (each
+    closure key to its number) and ``_witness``, from ``_name``; a subcomplex's,
+    a boundary's or a vertex link's alike, are its parent's ``_ckeys`` and
+    ``_witness`` objects.  ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names.
     """
 
     def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], name):
@@ -353,7 +390,7 @@ class _FaceTable:
         vars(table).update(_build=build, f_counts=counts)
         return table
 
-    def _first_use(source: str, settle: Callable, n: int) -> list[cached_property]:
+    def _first_use(source: str, settle: Callable, n: int) -> list[_cached]:
         """``n`` cached attributes set together on the first read of any, which
         calls the function at ``source``, drops it and a ``_lazy`` table's
         counts, and has ``settle`` set all ``n`` values the function returned."""
@@ -363,7 +400,7 @@ class _FaceTable:
             vars(self).pop("f_counts", None)  # a built table counts its own faces
             settle(self, *parts)
             return parts
-        return [cached_property(lambda self, i=i: read(self)[i]) for i in range(n)]
+        return [_cached(lambda self, i=i: read(self)[i]) for i in range(n)]
 
     def _named(self, index: dict, witness: list[tuple[int, ...]]) -> None:
         self._index, self._witness = index, witness
@@ -371,15 +408,15 @@ class _FaceTable:
     _dims, _ids, _maximal, _name = _first_use("_build", __init__, 4)
     _index, _witness = _first_use("_name", _named, 2)
     del _first_use, _named
-    dim = cached_property(lambda self: len(self.f_counts()) - 1)  # an unbuilt lazy table's
+    dim = _cached(lambda self: len(self.f_counts()) - 1)  # an unbuilt lazy table's
 
-    @cached_property
+    @_cached
     def _rows(self) -> array:
         """The rows of the maximal cells, by dimension and then sorted vertices."""
         dims, ids, witness = self._dims, self._ids, self._witness
         return array("i", sorted(self._maximal, key=lambda r: (dims[ids[r]], sorted(witness[ids[r]]))))
 
-    @cached_property
+    @_cached
     def cells(self) -> tuple[Face, ...]:
         """The inclusion-maximal cells, by dimension and then sorted vertices."""
         return tuple(self._face(self._ids[r]) for r in self._rows)
@@ -485,7 +522,7 @@ class _FaceTable:
 
     __hash__ = None  # type: ignore[assignment]
 
-    @cached_property
+    @_cached
     def faces(self) -> dict[FaceKey, Face]:
         """Every face by vertex set in number order, built on first use."""
         faces = dict(zip(self._keys, map(Face, self._keys, self._dims, self._witness)))
@@ -506,11 +543,11 @@ class _FaceTable:
         """Number of i-dimensional faces for i = 0..dim (empty face excluded)."""
         return self._f_counts
 
-    @cached_property
+    @_cached
     def _f_counts(self) -> tuple[int, ...]:
         return tuple(map(self._dims.count, range(self.dim + 1)))
 
-    @cached_property
+    @_cached
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(w[0] for w in compress(self._witness, map((0).__eq__, self._dims))))
 
@@ -521,7 +558,7 @@ class _FaceTable:
             raise UnknownVertex(str(v))
         return n
 
-    @cached_property
+    @_cached
     def _star(self) -> dict[int, array]:
         """The numbers of the faces through each vertex."""
         star = {v: array("i") for v in self.vertices}
@@ -530,7 +567,7 @@ class _FaceTable:
                 star[v].append(n)
         return star
 
-    @cached_property
+    @_cached
     def vertex_coface_counts(self) -> dict[int, tuple[int, ...]]:
         """For each vertex, how many i-faces contain it, i = 0..dim.
 
@@ -545,7 +582,7 @@ class _FaceTable:
         vertices = self.vertices
         return dict(zip(vertices, zip(*(map(c.__getitem__, vertices) for c in per_dim))))
 
-    @cached_property
+    @_cached
     def link_euler(self) -> dict[FaceKey, int]:
         """Reduced Euler characteristic of the link of every nonempty face.
 
@@ -572,7 +609,7 @@ class _FaceTable:
                     acc[own[s]] += sign
         return dict(zip(self._keys, [x if j & 1 else -x for x, j in zip(acc, dims)]))
 
-    @cached_property
+    @_cached
     def pure(self) -> bool:
         """All inclusion-maximal faces share the top dimension."""
         return all(self._dims[self._ids[r]] == self.dim for r in self._maximal)
@@ -582,7 +619,7 @@ class _FaceTable:
         degrees = self._ridges[0]
         return dict(zip(map(frozenset, degrees), degrees.values()))
 
-    @cached_property
+    @_cached
     def _ridges(self) -> tuple[dict, tuple[int, ...], array]:
         """One sweep over the facet entries of a pure complex's rows: how many
         facets hold each ridge by closure key, the facet entries, and the place i
@@ -597,7 +634,7 @@ class _FaceTable:
         met = dict(zip(ridges, range(len(ridges)))) if 1 in degrees.values() else {}
         return degrees, facets, array("i", [met[key] for key, n in degrees.items() if n == 1])
 
-    @cached_property
+    @_cached
     def pseudomanifold(self) -> bool:
         """Pure with every ridge in exactly two facets (two vertices when dim 0)."""
         if not self.pure:
@@ -608,7 +645,7 @@ class _FaceTable:
             return len(self.vertices) == 2
         return all(n == 2 for n in self._ridges[0].values())
 
-    @cached_property
+    @_cached
     def semi_eulerian(self) -> bool:
         """Every nonempty face link has the Euler characteristic of a sphere."""
         if not self.pure:
@@ -617,12 +654,12 @@ class _FaceTable:
         # link_euler is in face number order, like _dims.
         return all(x == sphere[j] for (_, x), j in zip(self.link_euler.items(), self._dims))
 
-    @cached_property
+    @_cached
     def eulerian(self) -> bool:
         """Semi-Eulerian with the global Euler characteristic of the d-sphere."""
         return self.semi_eulerian and reduced_euler(self) == _neg_pow(self.dim)
 
-    @cached_property
+    @_cached
     def boundary(self):
         """Closure of the ridges lying in exactly one facet; empty when closed.
         A free ridge at entry e of its one facet takes the entries inside e as
@@ -648,10 +685,11 @@ class CubicalComplex(_FaceTable):
     kind = "cubical"
     _table = staticmethod(_subface_tables)
     _key = frozenset
-    _keys = cached_property(lambda self: list(self._index))
+    _keys = _cached(lambda self: list(self._index))
     _ckeys = property(attrgetter("_keys"))
 
     @classmethod
+    @_paused
     def from_cells(
         cls, cells: Iterable[CubicalCell], validate: bool = True
     ) -> "CubicalComplex":
@@ -689,17 +727,17 @@ class CubicalComplex(_FaceTable):
             rows = list(compress(rows, _check_pairs([ids[r] for r in rows], *names())))
         return cls(dims, ids, rows, names)
 
-    @cached_property
+    @_cached
     def h_short(self) -> HVector:
         """Short cubical h-vector from the face counts."""
         return h_short_cubical_from_f(f_vector(self))
 
-    @cached_property
+    @_cached
     def h_long(self) -> HVector:
         """Long cubical h-vector from the short one."""
         return h_long_cubical(self.h_short)
 
-    @cached_property
+    @_cached
     def link_h_vectors(self) -> dict[int, HVector]:
         """Simplicial h-vector of every vertex link, taken at ambient rank d.
 
@@ -714,7 +752,7 @@ class CubicalComplex(_FaceTable):
         }
         return {v: by_counts[c] for v, c in counts.items()}
 
-    @cached_property
+    @_cached
     def link_g_vectors(self) -> dict[int, GVector]:
         """g-vector of every vertex link, entries g_0 .. g_d, one per
         distinct link h-vector."""
@@ -734,10 +772,11 @@ class SimplicialComplex(_FaceTable):
     kind = "simplicial"
     _table = staticmethod(_simplex_tables)
     _key = tuple  # the witness itself: from_facets and link_face pass ascending tuples
-    _keys = cached_property(lambda self: list(map(frozenset, self._witness)))
+    _keys = _cached(lambda self: list(map(frozenset, self._witness)))
     _ckeys = property(attrgetter("_witness"))
 
     @classmethod
+    @_paused
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given facets; contained facets are dropped.
 
@@ -764,7 +803,7 @@ class SimplicialComplex(_FaceTable):
         order = sorted(distinct, key=lambda c: (-len(c), c))
         return cls(*cls._close((len(c) - 1, c) for c in order))
 
-    @cached_property
+    @_cached
     def _link_cells(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """The cells of each vertex link as ``_subcomplex`` takes them: every
         maximal cell of dimension at least 1 through v, largest first and
@@ -845,6 +884,7 @@ def link_of_vertex(K: CubicalComplex, v: int) -> SimplicialComplex:
     return link_face(K, (v,))
 
 
+@_paused
 def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
     """Link of a nonempty face F: the Boolean upper interval above F.
 

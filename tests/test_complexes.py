@@ -647,6 +647,103 @@ def test_a_cached_boundary_does_not_keep_its_parent_alive():
         gc.enable()
 
 
+def read_every_view(K):
+    """Read every derived view of ``K``, a built vertex link and the vertex
+    stars included, and return the link."""
+    K.link_euler, K.ridge_degrees(), K.vertex_coface_counts, K.faces, K.cells
+    K.pseudomanifold, K.eulerian
+    assert K.boundary.f_counts() and K.boundary.faces
+    u, v = K.cells[-1].corners[:2]
+    if K.kind == "cubical":
+        K.link_g_vectors, K.h_long
+        assert least_upper_bound(K, u, v) is not None  # reads the vertex stars
+        link = link_of_vertex(K, u)
+    else:
+        assert K._star[u]
+        link = K.link(u)
+    assert link.cells and link.faces
+    return link
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_cubical([CubicalCell(c.dim, c.corners) for c in pile_of_cubes(3, 2, 2).complex.cells]),
+        lambda: build_simplicial([c.corners for c in stacked_simplicial_ball(3, 12, seed=2).complex.cells]),
+    ],
+)
+def test_builds_and_views_make_no_reference_cycles(build):
+    # The premise of pausing the collector while a table or a view is built:
+    # no collection it could have started would have found anything.
+    gc.disable()
+    try:
+        gc.collect()
+        K = build()
+        link = read_every_view(K)
+        parent = weakref.ref(K)
+        del K, link
+        assert parent() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_builds_and_views_leave_the_collector_as_the_caller_set_it():
+    cells = [CubicalCell(c.dim, c.corners) for c in pile_of_cubes(2, 2).complex.cells]
+    gc.disable()
+    try:
+        K = build_cubical(cells)
+        assert not gc.isenabled()
+        read_every_view(K)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    failing = [
+        lambda: build_cubical([SQUARE, CubicalCell(2, (0, 5, 6, 3))]),
+        lambda: build_cubical([SQUARE, CubicalCell(2, (0, 1, 3, 2))]),
+        lambda: build_simplicial([[0, 1], [2, True]]),
+        lambda: build_simplicial([[0, 1, 2], [2, 3]]).boundary,
+    ]
+    for fail, error in zip(failing, (IntersectionNotAFace, InconsistentSharedFace, ValueError, NotPure)):
+        with pytest.raises(error):
+            fail()
+        assert gc.isenabled()
+
+
+def collections_started(run) -> int:
+    """How many collections start while ``run()`` runs, with a young
+    generation emptied first and a threshold low enough that a few dozen
+    allocations start one."""
+    started, threshold = [], gc.get_threshold()
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect(0)
+    gc.set_threshold(25, *threshold[1:])
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    return len(started)
+
+
+def test_no_collection_starts_during_a_build_or_a_first_view_read():
+    cells = [CubicalCell(c.dim, c.corners) for c in cubical_torus(5, 5, 6, 6).complex.cells]
+    built = []
+    assert collections_started(lambda: built.append(build_cubical(cells))) == 0
+    K = built[0]
+    assert collections_started(lambda: K.link_euler) == 0
+    # The boundary reads the ridge view inside its own first read, so the
+    # nested read leaves the collector paused for the rest of the outer one.
+    assert collections_started(lambda: K.boundary) == 0
+    assert "_ridges" in vars(K) and K.boundary.f_counts() == ()
+    assert gc.isenabled()
+
+
 def test_faces_view_matches_the_reference_closure_once_built():
     cells = [CubicalCell(c.dim, c.corners) for c in cubical_torus(3, 3, 4).complex.cells]
     K = CubicalComplex.from_cells(cells)
