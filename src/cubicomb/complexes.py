@@ -30,7 +30,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache, reduce, wraps
-from itertools import chain, combinations, compress, takewhile
+from itertools import chain, combinations, compress, count, takewhile
 from operator import attrgetter, itemgetter
 
 from ._record import _Record
@@ -360,8 +360,10 @@ class _FaceTable:
     closure met it, with its dimension in ``_dims`` and its names, closure
     key and witness corners; the numbers of the subface table entries of
     every cell in ``_ids``, each inclusion-maximal cell's starting at its
-    entry in ``_maximal``, sorted into ``_rows`` on first use; and the views
-    derived from them, each cached one read through ``_cached``.
+    entry in ``_maximal`` in build order, which the sweeps read and only
+    ``cells`` sorts (simplicial rows are largest first, then in number order:
+    each row's own face is new when met); and the views derived from them,
+    each cached one read through ``_cached``.
 
     A kind supplies ``_table``, the ``(dim, corner reader)`` subface table of
     a cell, the cell itself first and its vertices last, in corner order;
@@ -379,7 +381,6 @@ class _FaceTable:
 
     def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], name):
         self._dims, self._ids, self._maximal, self._name = dims, ids, rows, name
-        self.dim: int = max(dims, default=-1)
 
     @classmethod
     def _lazy(cls, build: Callable[[], tuple], counts: Callable[[], tuple[int, ...]]):
@@ -408,18 +409,14 @@ class _FaceTable:
     _dims, _ids, _maximal, _name = _first_use("_build", __init__, 4)
     _index, _witness = _first_use("_name", _named, 2)
     del _first_use, _named
-    dim = _cached(lambda self: len(self.f_counts()) - 1)  # an unbuilt lazy table's
-
-    @_cached
-    def _rows(self) -> array:
-        """The rows of the maximal cells, by dimension and then sorted vertices."""
-        dims, ids, witness = self._dims, self._ids, self._witness
-        return array("i", sorted(self._maximal, key=lambda r: (dims[ids[r]], sorted(witness[ids[r]]))))
+    dim = _cached(lambda self: len(self.f_counts()) - 1)
 
     @_cached
     def cells(self) -> tuple[Face, ...]:
         """The inclusion-maximal cells, by dimension and then sorted vertices."""
-        return tuple(self._face(self._ids[r]) for r in self._rows)
+        dims, witness = self._dims, self._witness
+        cells = sorted([self._ids[r] for r in self._maximal], key=lambda n: (dims[n], sorted(witness[n])))
+        return tuple(map(self._face, cells))
 
     @classmethod
     def empty(cls):
@@ -545,7 +542,7 @@ class _FaceTable:
 
     @_cached
     def _f_counts(self) -> tuple[int, ...]:
-        return tuple(map(self._dims.count, range(self.dim + 1)))
+        return tuple(takewhile(bool, map(self._dims.count, count())))  # closures skip no dimension
 
     @_cached
     def vertices(self) -> tuple[int, ...]:
@@ -590,14 +587,14 @@ class _FaceTable:
         face to each of its f-dimensional subfaces, the empty link face
         included when G equals the subface, so the link of F has reduced
         Euler characteristic -(-1)^f times the sum of (-1)^g over the faces G
-        that contain F.  The sweep reads every cell's entry numbers and sweeps
-        every face once, from the first cell that holds it, adding (-1)^g to
-        the entries inside it.  The result is keyed like ``faces``, in order.
+        that contain F.  The sweep reads the cells' entry numbers in build
+        order and sweeps every face once, from the first cell that holds it,
+        adding (-1)^g to the entries inside it; the result is keyed like ``faces``, in order.
         """
         ids, dims, table = self._ids, self._dims, self._table
         acc = [0] * len(dims)
         swept = bytearray(len(dims))
-        for row in self._rows:
+        for row in self._maximal:
             k = dims[ids[row]]
             own = ids[row : row + len(table(k))].tolist()
             for e, f in enumerate(own):
@@ -627,8 +624,8 @@ class _FaceTable:
         if not self.pure:
             raise NotPure("ridge degrees are only defined for pure complexes")
         ids, keys = self._ids, self._ckeys
-        facets = _facet_tables(self._table, self.dim) if self._rows else ()
-        ridges = [keys[ids[row + e]] for row in self._rows for e in facets]
+        facets = _facet_tables(self._table, self.dim) if self._maximal else ()
+        ridges = [keys[ids[row + e]] for row in self._maximal for e in facets]
         degrees = Counter(ridges)
         # Where each ridge was last met; a ridge in one facet is met once.
         met = dict(zip(ridges, range(len(ridges)))) if 1 in degrees.values() else {}
@@ -669,7 +666,7 @@ class _FaceTable:
         table, d, (_, facets, free) = self._table, self.dim, self._ridges  # refuses an impure one
         ids, witness = self._ids, self._witness
         cells = []
-        for row, e in ((self._rows[i // len(facets)], facets[i % len(facets)]) for i in free):
+        for row, e in ((self._maximal[i // len(facets)], facets[i % len(facets)]) for i in free):
             corners, sub = witness[ids[row]], witness[ids[row + e]]
             if table(d)[e][1](corners) == sub:
                 cells.append((row, _inside(table, d, e)))
@@ -806,14 +803,14 @@ class SimplicialComplex(_FaceTable):
     @_cached
     def _link_cells(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
         """The cells of each vertex link as ``_subcomplex`` takes them: every
-        maximal cell of dimension at least 1 through v, largest first and
-        then in number order, and the entries inside its facet opposite v.
+        maximal cell of dimension at least 1 through v in row order, largest
+        first and then in number order, and the entries inside its facet opposite v.
         That facet of a k-simplex with v at corner position p is table entry
         k + 1 - p: the simplex tables list the facets in that order, and this
         arithmetic is cheaper than looking the facet's mask up."""
         ids, dims, witness = self._ids, self._dims, self._witness
         at: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in self.vertices}
-        for row in sorted(self._maximal, key=lambda r: (-dims[ids[r]], ids[r])):
+        for row in self._maximal:
             k = dims[ids[row]]
             for p, v in enumerate(witness[ids[row]] if k else ()):
                 at[v].append((row, _inside(_simplex_tables, k, k + 1 - p)))

@@ -69,3 +69,15 @@ def simplicial_family():
     ]
     members += [stacked_sphere(2, 8), stacked_sphere(3, 12)]
     return members
+
+
+def derived_simplicial_tables(S):
+    """``S``, its vertex links and their vertex links, each built, and the
+    boundary of each pure one and of that boundary: every way a simplicial
+    table is filled but ``link_face``."""
+    tables = [S]
+    for v in S.vertices:
+        link = S.link(v)
+        tables += [link, *map(link.link, link.vertices)]
+    boundaries = [C.boundary for C in tables if C.pure]
+    return tables + boundaries + [B.boundary for B in boundaries]

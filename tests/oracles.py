@@ -189,6 +189,13 @@ def reference_numbering(cells, kind):
     return faces, ids, sorted(kept, key=lambda c: (c[0], sorted(c[1])))
 
 
+def rows_largest_first(C):
+    """Whether the rows of a built table ``C``, read in build order, run by
+    descending dimension and then by ascending number of the row's own face."""
+    order = [(-C._dims[C._ids[r]], C._ids[r]) for r in C._maximal]
+    return order == sorted(order)
+
+
 def reference_free_ridges(cells, kind):
     """The vertex sets of the ridges lying in exactly one of the ``(dim,
     corners)`` cells of a pure complex, in the order a sweep over the cells

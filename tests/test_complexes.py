@@ -30,14 +30,20 @@ from cubicomb import (
     link_of_vertex,
     pile_of_cubes,
     run_suite,
+    serializes,
     simplex,
     solid_cube,
     stacked_simplicial_ball,
     verify_cubical_boundary_ds,
 )
 from cubicomb import complexes
-from families import cubical_family
-from oracles import brute_least_upper_bounds, brute_pairwise_closed, reference_cubical_closure
+from families import cubical_family, derived_simplicial_tables
+from oracles import (
+    brute_least_upper_bounds,
+    brute_pairwise_closed,
+    reference_cubical_closure,
+    rows_largest_first,
+)
 
 SQUARE = CubicalCell(2, (0, 1, 2, 3))
 
@@ -524,7 +530,7 @@ def test_counted_links_and_boundaries_never_name_their_faces():
     verify_cubical_boundary_ds(pile)
     assert "boundary" in vars(ball.complex) and "boundary" in vars(pile.complex)
     for sub in links + [ball.complex.boundary, pile.complex.boundary]:
-        assert not {"_index", "_witness", "_rows"} & vars(sub).keys()
+        assert not {"_index", "_witness"} & vars(sub).keys()
     # A counted link holds no table of its own.
     assert all(repr(link) and link.dim == len(c) - 1 for link, c in zip(links, counts))
     assert not any({"_dims", "_ids", "_maximal", "_name"} & vars(link).keys() for link in links)
@@ -760,3 +766,39 @@ def test_unvalidated_cells_drop_a_cell_listed_after_one_that_contains_it():
     assert [c.corners for c in K.cells] == [(0, 1, 2, 3)]
     assert K.f_counts() == (4, 4, 1)
     assert K == CubicalComplex.from_cells(cells)
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [c.corners for c in stacked_simplicial_ball(4, 60, gluing="tree", seed=3).complex.cells],
+        [c.corners for c in cross_polytope_boundary(3).complex.cells],
+        [[0, 1, 2, 3], [2, 3, 4], [4, 5], [6], [5, 7, 8], [3, 4]],
+        # Its boundary is not closed: vertex 0 lies in one free edge, {0, 4}.
+        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 1, 4]],
+    ],
+)
+def test_simplicial_rows_run_largest_first_then_in_number_order(facets):
+    # Vertex links read their parent's rows in build order with no re-sort,
+    # which keeps this order only because every simplicial table has it.
+    tables = derived_simplicial_tables(build_simplicial(facets[::-1]))
+    assert all(rows_largest_first(C) for C in tables)
+
+
+@pytest.mark.parametrize(
+    "K", [pile_of_cubes(3, 2).complex, cubical_torus(3, 3).complex, solid_cube(3).complex]
+)
+def test_cubical_face_links_run_largest_first_then_in_number_order(K):
+    links = [link_face(K, key) for key in K.faces] + [link_of_vertex(K, v) for v in K.vertices]
+    assert all(rows_largest_first(link) for link in links)
+
+
+def test_cells_given_out_of_order_build_the_same_complex():
+    cells = [CubicalCell(c.dim, c.corners) for c in pile_of_cubes(3, 2).complex.cells]
+    forward, backward = build_cubical(cells), build_cubical(cells[::-1])
+    built = [backward._witness[backward._ids[r]] for r in backward._maximal]
+    assert built == [c.corners for c in cells[::-1]] != [c.corners for c in backward.cells]
+    assert serializes(backward) == serializes(forward)
+    # The boundary is numbered in the sweep's order, which follows the build.
+    assert backward.boundary.f_counts() == forward.boundary.f_counts()
+    assert backward.boundary == forward.boundary

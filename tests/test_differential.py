@@ -10,7 +10,9 @@ round-trip through a document, pass the unconditional h-vector identities,
 have every face link equal to ``oracles.reference_cubical_link`` and every
 vertex link's h- and g-vector equal to the transforms of that link's face
 counts.  Simplicial inputs check links, vertex coface counts and maximal
-facets against their definitions.  On both kinds the link Euler
+facets against their definitions, and every simplicial table, a cubical face
+link included, must keep its rows largest first and then in number order.
+On both kinds the link Euler
 characteristics, the ridge degrees and the boundary faces must equal
 ``oracles.reference_link_euler``, ``reference_ridge_degrees`` and
 ``reference_boundary_faces``, the table entries inside each entry must be
@@ -68,7 +70,7 @@ from cubicomb.complexes import (
     _subface_tables,
 )
 from cubicomb.generators import _grid_cells
-from families import simplicial_family
+from families import derived_simplicial_tables, simplicial_family
 from oracles import (
     cube_subfaces,
     grid_vertex,
@@ -83,6 +85,7 @@ from oracles import (
     reference_link_euler,
     reference_numbering,
     reference_ridge_degrees,
+    rows_largest_first,
     simplex_subfaces,
 )
 
@@ -132,9 +135,11 @@ def largest_first(faces):
 
 def reclosed_boundary(C):
     """The boundary re-closed from the parent's witnesses of its free
-    ridges, every face keeping the parent's witness."""
-    faces, _, cells = numbering(C)
+    ridges, met by a sweep of the parent's cells in build order, every face
+    keeping the parent's witness."""
+    faces = numbering(C)[0]
     witness = {key: (dim, corners) for key, dim, corners in faces}
+    cells = [(C._dims[C._ids[r]], C._witness[C._ids[r]]) for r in C._maximal]
     free = reference_free_ridges(cells, C.kind)
     faces, ids, cells = reference_numbering([witness[key] for key in free], C.kind)
     return [(key, *witness[key]) for key, _, _ in faces], ids, cells
@@ -326,6 +331,7 @@ def test_cubical_links_match_their_definition(cells):
             expect = reclosed_face_link(K, key)
             assert numbering(link) == expect and reads == reference_reads(*expect)
             assert set(link.faces) == reference_cubical_link(K.faces, key)
+            assert rows_largest_first(link)
 
 
 @given(cubical_inputs())
@@ -560,6 +566,13 @@ def test_simplicial_link_euler_matches_its_definition(facets):
     S = build_simplicial(facets)
     assert S.link_euler == reference_link_euler(S.faces)
     assert list(S.link_euler) == list(S.faces)
+
+
+@given(facet_lists)
+def test_simplicial_rows_run_largest_first_then_in_number_order(facets):
+    # What lets a vertex link read its parent's rows as they were built.
+    for C in derived_simplicial_tables(build_simplicial(facets)):
+        assert rows_largest_first(C)
 
 
 @given(facet_lists)
