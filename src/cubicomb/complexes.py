@@ -517,8 +517,6 @@ class _FaceTable:
             and {c.key for c in self.cells} == {c.key for c in other.cells}
         )
 
-    __hash__ = None  # type: ignore[assignment]
-
     @_cached
     def faces(self) -> dict[FaceKey, Face]:
         """Every face by vertex set in number order, built on first use."""
@@ -624,7 +622,7 @@ class _FaceTable:
         if not self.pure:
             raise NotPure("ridge degrees are only defined for pure complexes")
         ids, keys = self._ids, self._ckeys
-        facets = _facet_tables(self._table, self.dim) if self._maximal else ()
+        facets = _facet_tables(self._table, self.dim)
         ridges = [keys[ids[row + e]] for row in self._maximal for e in facets]
         degrees = Counter(ridges)
         # Where each ridge was last met; a ridge in one facet is met once.
@@ -753,7 +751,7 @@ class CubicalComplex(_FaceTable):
     def link_g_vectors(self) -> dict[int, GVector]:
         """g-vector of every vertex link, entries g_0 .. g_d, one per
         distinct link h-vector."""
-        by_h = {h: g_vector(h, upto=self.dim) for h in set(self.link_h_vectors.values())}
+        by_h = {h: g_vector(h) for h in set(self.link_h_vectors.values())}
         return {v: by_h[h] for v, h in self.link_h_vectors.items()}
 
 
@@ -832,7 +830,7 @@ Complex = CubicalComplex | SimplicialComplex
 
 def build_cubical(cells: Iterable[CubicalCell]) -> CubicalComplex:
     """Validated subface closure of cubical cells."""
-    return CubicalComplex.from_cells(cells, validate=True)
+    return CubicalComplex.from_cells(cells)
 
 
 def build_simplicial(facets: Iterable[Iterable[int]]) -> SimplicialComplex:

@@ -153,14 +153,10 @@ def h_short_cubical_from_links(K: CubicalComplex) -> HVector:
     return HVector("short_cubical", d, tuple(totals))
 
 
-def h_long_cubical(x) -> HVector:
-    """Long cubical h-vector: h_0 = 2^d and h_{i+1} = h^{sc}_i - h_i."""
-    if isinstance(x, HVector):
-        if x.kind != "short_cubical":
-            raise ValueError("h_long_cubical needs a short cubical h-vector")
-        hsc = x
-    else:
-        hsc = h_short_cubical_from_f(f_vector(x))
+def h_long_cubical(hsc: HVector) -> HVector:
+    """Long cubical h-vector from the short one: h_0 = 2^d and h_{i+1} = h^{sc}_i - h_i."""
+    if hsc.kind != "short_cubical":
+        raise ValueError("h_long_cubical needs a short cubical h-vector")
     d = hsc.dim
     entries = [1 << d]
     for i in range(d + 1):

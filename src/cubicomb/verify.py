@@ -1,4 +1,4 @@
-"""Classification predicates and exact verification of enumerative identities.
+"""Exact verification of enumerative identities.
 
 Verifiers accept either a bare complex or a generated complex carrying
 topology metadata; stated hypotheses (sphere or ball flags, parity of the
@@ -31,26 +31,6 @@ from .vectors import (
 from .vectors import _neg_pow
 
 
-def is_pure(C) -> bool:
-    """All inclusion-maximal faces share the top dimension."""
-    return C.pure
-
-
-def is_pseudomanifold(C) -> bool:
-    """Pure with every ridge in exactly two facets (two vertices when dim 0)."""
-    return C.pseudomanifold
-
-
-def is_semi_eulerian(K) -> bool:
-    """Every nonempty face link has the Euler characteristic of a sphere."""
-    return K.semi_eulerian
-
-
-def is_eulerian(K) -> bool:
-    """Semi-Eulerian with the global Euler characteristic of the d-sphere."""
-    return K.eulerian
-
-
 Gate = Callable[[GeneratedComplex], Precondition]
 
 
@@ -61,10 +41,6 @@ class Advisory(NamedTuple):
 
 
 # ------------------------------------------------------------------ the gates
-
-
-def _kind(kind: str) -> Gate:
-    return lambda gc: Precondition(f"{kind} complex", gc.complex.kind == kind)
 
 
 # The gate kinds: a test on one quantity of the complex, shown as the detail.
@@ -199,7 +175,8 @@ def _verifier(name: str, suite: str, *stages, kind: str = "cubical"):
     """Register the decorated checks function under ``name`` in ``suite``."""
 
     def register(checks) -> Verifier:
-        entry = Verifier(name, kind, suite, ((_kind(kind),),) + stages, checks)
+        kind_gate = _on_flag(f"{kind} complex", lambda gc: gc.complex.kind == kind)
+        entry = Verifier(name, kind, suite, ((kind_gate,),) + stages, checks)
         REGISTRY.append(entry)
         return entry
 
@@ -544,7 +521,6 @@ def run_suite(suite: str, x) -> list[VerificationReport]:
 
 # The verifiers are exported under the names of their checks functions.
 __all__ = [
-    "is_pure", "is_pseudomanifold", "is_semi_eulerian", "is_eulerian",
     *(v.checks.__name__ for v in REGISTRY),
     "CUBICAL_VERIFIERS", "SIMPLICIAL_VERIFIERS", "SUITES", "run_suite",
 ]

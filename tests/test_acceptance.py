@@ -20,7 +20,6 @@ from cubicomb import (
     cubical_torus,
     f_vector,
     g_vector,
-    h_long_cubical,
     h_short_cubical_from_f,
     h_short_cubical_from_links,
     h_simplicial,
@@ -229,7 +228,7 @@ def test_criterion_6_top_entry_and_link_double_count():
     for gc in cubical_family():
         C = gc.complex
         d = C.dim
-        hc = h_long_cubical(C)
+        hc = C.h_long
         if hc.h(d + 1) != (-2) ** d * reduced_euler(C):
             failures.append(
                 f"{gc.provenance}: top entry {hc.h(d + 1)} vs"

@@ -454,6 +454,15 @@ def test_complex_equality_ignores_witness_orientation():
     assert a != c
 
 
+def test_built_and_unbuilt_complexes_are_unhashable():
+    S = build_simplicial([[0, 1, 2], [1, 2, 3]])
+    link = S.link(1)
+    for K in (build_cubical([SQUARE]), S, link):
+        with pytest.raises(TypeError):
+            hash(K)
+    assert "_build" in vars(link)  # hashing built no table
+
+
 def test_simplicial_from_facets_closure():
     S = build_simplicial([[1, 2, 3], [3, 4]])
     assert S.f_counts() == (4, 4, 1)

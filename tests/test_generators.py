@@ -15,7 +15,6 @@ from cubicomb import (
     cube_boundary,
     cubical_torus,
     f_vector,
-    is_pseudomanifold,
     pile_boundary,
     pile_of_cubes,
     prism,
@@ -81,7 +80,7 @@ def test_pile_boundary_is_closed_sphere_data():
         gc = pile_boundary(*sides)
         K = gc.complex
         assert gc.topology == "sphere"
-        assert is_pseudomanifold(K)
+        assert K.pseudomanifold
         assert boundary_complex(K).dim == -1
         assert reduced_euler(K) == (1 if K.dim % 2 == 0 else -1)
 
@@ -99,7 +98,7 @@ def test_torus_faces_match_direct_enumeration():
 def test_torus_is_closed_with_zero_euler():
     for sides in [(3, 3), (4, 4), (4, 4, 4)]:
         K = cubical_torus(*sides).complex
-        assert is_pseudomanifold(K)
+        assert K.pseudomanifold
         assert boundary_complex(K).dim == -1
         assert reduced_euler(K) == -1  # chi = 0
 
@@ -186,7 +185,7 @@ def test_stacked_sphere_counts():
         K = gc.complex
         assert K.dim == d
         assert K.f_counts()[0] == n
-        assert is_pseudomanifold(K)
+        assert K.pseudomanifold
         assert reduced_euler(K) == (1 if d % 2 == 0 else -1)
     assert stacked_sphere(2, 4).complex == simplex_boundary(3).complex
     with pytest.raises(ValueError):

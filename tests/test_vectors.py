@@ -102,11 +102,11 @@ def test_link_route_equals_f_route():
 
 
 def test_long_cubical_frozen_values():
-    assert h_long_cubical(cube_boundary(3).complex).entries == (4, 4, 4, 4)
-    assert h_long_cubical(cube_boundary(4).complex).entries == (8, 8, 8, 8, 8)
-    assert h_long_cubical(cubical_torus(4, 4).complex).entries == (4, 12, 20, -4)
-    assert h_long_cubical(pile_of_cubes(2, 1).complex).entries == (4, 2, 0, 0)
-    assert h_long_cubical(prism(cube_boundary(2)).complex).entries == (4, 4, 4, -4)
+    assert cube_boundary(3).complex.h_long.entries == (4, 4, 4, 4)
+    assert cube_boundary(4).complex.h_long.entries == (8, 8, 8, 8, 8)
+    assert cubical_torus(4, 4).complex.h_long.entries == (4, 12, 20, -4)
+    assert pile_of_cubes(2, 1).complex.h_long.entries == (4, 2, 0, 0)
+    assert prism(cube_boundary(2)).complex.h_long.entries == (4, 4, 4, -4)
 
 
 def test_long_cubical_recurrence_and_top_entry():
@@ -130,12 +130,16 @@ def test_long_cubical_rejects_wrong_kind():
     "call, message",
     [
         (
-            lambda: f_from_h_simplicial(h_long_cubical(cube_boundary(3).complex)),
+            lambda: f_from_h_simplicial(cube_boundary(3).complex.h_long),
             "f_from_h_simplicial needs a simplicial h-vector",
         ),
         (
             lambda: h_short_cubical_from_links(CubicalComplex.empty()),
             "short cubical h-vector needs dimension >= 0",
+        ),
+        (
+            lambda: h_long_cubical(cube_boundary(3).complex),
+            "h_long_cubical needs a short cubical h-vector",
         ),
     ],
 )
@@ -152,7 +156,7 @@ def test_g_vector_conventions():
     assert g.g(0) == 1 and g.g(5) == 0
     full = g_vector(h)
     assert full.entries == (1, 2, 0, -2)
-    assert g_vector(h_long_cubical(cube_boundary(3).complex)).kind == "cubical"
+    assert g_vector(cube_boundary(3).complex.h_long).kind == "cubical"
 
 
 def test_vector_padding_out_of_range():

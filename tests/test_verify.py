@@ -18,10 +18,6 @@ from cubicomb import (
     cube_boundary,
     cubical_torus,
     format_report,
-    is_eulerian,
-    is_pseudomanifold,
-    is_pure,
-    is_semi_eulerian,
     make_report,
     pile_boundary,
     pile_of_cubes,
@@ -112,32 +108,32 @@ def test_report_to_dict_round_trip_fields():
 
 def test_classifiers():
     shell = cube_boundary(3).complex
-    assert is_pure(shell) and is_pseudomanifold(shell)
-    assert is_semi_eulerian(shell) and is_eulerian(shell)
+    assert shell.pure and shell.pseudomanifold
+    assert shell.semi_eulerian and shell.eulerian
     torus = cubical_torus(4, 4).complex
-    assert is_pseudomanifold(torus) and is_semi_eulerian(torus)
-    assert not is_eulerian(torus)
+    assert torus.pseudomanifold and torus.semi_eulerian
+    assert not torus.eulerian
     ball = solid_cube(2).complex
-    assert not is_pseudomanifold(ball)
-    assert not is_semi_eulerian(ball)
-    assert not is_pseudomanifold(BOOK)
-    assert not is_pseudomanifold(BOWTIE.complex)  # vertices only pair off in facets
+    assert not ball.pseudomanifold
+    assert not ball.semi_eulerian
+    assert not BOOK.pseudomanifold
+    assert not BOWTIE.complex.pseudomanifold  # vertices only pair off in facets
     mixed = build_cubical([CubicalCell(2, (0, 1, 2, 3)), CubicalCell(1, (4, 5))])
-    assert not is_pure(mixed)
+    assert not mixed.pure
     with pytest.raises(NotPure):
-        is_pseudomanifold(mixed)
+        mixed.pseudomanifold
 
 
 def test_pseudomanifold_in_dimension_zero():
     two_points = build_simplicial([[0], [1]])
-    assert is_pseudomanifold(two_points)
-    assert not is_pseudomanifold(build_simplicial([[0], [1], [2]]))
+    assert two_points.pseudomanifold
+    assert not build_simplicial([[0], [1], [2]]).pseudomanifold
 
 
 def test_adin_ds_passes_on_closed_family_members():
     for gc in cubical_family():
         report = verify_adin_ds(gc)
-        if is_pure(gc.complex) and gc.complex.dim >= 0 and is_semi_eulerian(gc.complex):
+        if gc.complex.pure and gc.complex.dim >= 0 and gc.complex.semi_eulerian:
             assert report.status == "pass", (gc.provenance, report.witness)
         else:
             assert report.status == "inapplicable"
@@ -179,7 +175,7 @@ def test_face_lower_bounds_pass_on_closed_members():
     for gc in cubical_family():
         report = verify_face_lower_bounds(gc)
         K = gc.complex
-        applicable = is_pure(K) and K.dim >= 2 and is_pseudomanifold(K)
+        applicable = K.pure and K.dim >= 2 and K.pseudomanifold
         assert report.status == ("pass" if applicable else "inapplicable"), gc.provenance
 
 
@@ -258,7 +254,7 @@ def test_simplicial_boundary_ds_passes():
         else:
             assert report.status == "inapplicable"
             # closed members still satisfy the identity with an empty boundary
-            if is_pseudomanifold(gc.complex) and is_semi_eulerian(gc.complex):
+            if gc.complex.pseudomanifold and gc.complex.semi_eulerian:
                 assert all(c.ok for c in report.checks), gc.provenance
 
 
