@@ -649,6 +649,8 @@ class _FaceTable:
         # link_euler is in face number order, like _dims.
         return all(x == sphere[j] for (_, x), j in zip(self.link_euler.items(), self._dims))
 
+    _reduced_euler = _cached(lambda self: reduced_euler(self._f_vector))
+
     @_cached
     def eulerian(self) -> bool:
         """Semi-Eulerian with the global Euler characteristic of the d-sphere."""
@@ -682,6 +684,7 @@ class CubicalComplex(_FaceTable):
     _key = frozenset
     _keys = _cached(lambda self: list(self._index))
     _ckeys = property(attrgetter("_keys"))
+    _f_vector = _cached(lambda self: FVector("cubical", self.dim, self.f_counts()))
 
     @classmethod
     @_paused
@@ -748,6 +751,12 @@ class CubicalComplex(_FaceTable):
         return {v: by_counts[c] for v, c in counts.items()}
 
     @_cached
+    def _h_short_links(self) -> HVector:
+        """The vertex-link h-vectors summed entry by entry, all of length d + 1."""
+        links = [h.entries for h in self.link_h_vectors.values()]
+        return HVector("short_cubical", self.dim, tuple(map(sum, zip(*links))))
+
+    @_cached
     def link_g_vectors(self) -> dict[int, GVector]:
         """g-vector of every vertex link, entries g_0 .. g_d, one per
         distinct link h-vector."""
@@ -769,6 +778,7 @@ class SimplicialComplex(_FaceTable):
     _key = tuple  # the witness itself: from_facets and link_face pass ascending tuples
     _keys = _cached(lambda self: list(map(frozenset, self._witness)))
     _ckeys = property(attrgetter("_witness"))
+    _f_vector = _cached(lambda self: FVector("simplicial", self.dim, (1,) + self.f_counts()))
 
     @classmethod
     @_paused

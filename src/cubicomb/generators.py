@@ -3,7 +3,9 @@
 Vertex labels are deterministic (row-major over grid coordinates, bit order
 for cubes), so generated complexes serialize to byte-identical documents.
 Every generator goes through the validating builder except boundary
-subcomplexes, which inherit validity from their parent complex.
+subcomplexes, which inherit validity from their parent complex, and the
+grids, whose cells meet in common faces by construction: they skip only the
+pair scan, and the closure still checks every cube structure.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from ._record import _Record
 from .complexes import (
     Complex,
     CubicalCell,
+    CubicalComplex,
     ValidationFailed,
     _subset_sums,
     build_cubical,
@@ -152,7 +155,7 @@ def pile_of_cubes(*sides: int) -> GeneratedComplex:
     """Box-shaped grid of unit cubes, sides[t] cubes along axis t."""
     if not sides or any(a < 1 for a in sides):
         raise ValueError("pile_of_cubes needs positive side lengths")
-    K = build_cubical(_grid_cells(sides, wrap=False))
+    K = CubicalComplex.from_cells(_grid_cells(sides, wrap=False), validate=False)
     label = ", ".join(str(a) for a in sides)
     return GeneratedComplex(K, "ball", f"pile_of_cubes({label})", polytopal=True)
 
@@ -167,7 +170,7 @@ def cubical_torus(*sides: int) -> GeneratedComplex:
     """Grid on the d-torus: coordinates wrap modulo sides[t] (each >= 3)."""
     if not sides or any(a < 3 for a in sides):
         raise ValueError("cubical_torus needs every side length >= 3")
-    K = build_cubical(_grid_cells(sides, wrap=True))
+    K = CubicalComplex.from_cells(_grid_cells(sides, wrap=True), validate=False)
     label = ", ".join(str(a) for a in sides)
     return GeneratedComplex(K, "torus", f"cubical_torus({label})")
 

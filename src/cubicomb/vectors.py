@@ -77,16 +77,15 @@ class GVector(_Vector):
 
 
 def f_vector(C: Complex) -> FVector:
-    counts = C.f_counts()
-    if C.kind == "simplicial":
-        return FVector("simplicial", C.dim, (1,) + counts)
-    return FVector("cubical", C.dim, counts)
+    """The face counts of ``C``, cached on it."""
+    return C._f_vector
 
 
 def reduced_euler(x) -> int:
-    """Alternating face-count sum including the empty face."""
-    f = x if isinstance(x, FVector) else f_vector(x)
-    return sum(_neg_pow(i) * f.f(i) for i in range(-1, f.dim + 1))
+    """Alternating face-count sum including the empty face; a complex's is cached on it."""
+    if not isinstance(x, FVector):
+        return x._reduced_euler
+    return sum(_neg_pow(i) * x.f(i) for i in range(-1, x.dim + 1))
 
 
 def _h_transform(a: list[int]) -> tuple[int, ...]:
@@ -141,16 +140,11 @@ def h_short_cubical_from_links(K: CubicalComplex) -> HVector:
 
     Independent of :func:`h_short_cubical_from_f`: link face counts are read
     off the vertex coface counts, and every link is taken at ambient rank d,
-    which keeps the identity valid on non-pure complexes.
+    which keeps the identity valid on non-pure complexes; ``K`` caches the sum.
     """
-    d = K.dim
-    if d < 0:
+    if K.dim < 0:
         raise ValueError("short cubical h-vector needs dimension >= 0")
-    totals = [0] * (d + 1)
-    for link_h in K.link_h_vectors.values():
-        for j, value in enumerate(link_h.entries):
-            totals[j] += value
-    return HVector("short_cubical", d, tuple(totals))
+    return K._h_short_links
 
 
 def h_long_cubical(hsc: HVector) -> HVector:

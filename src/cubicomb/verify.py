@@ -5,11 +5,13 @@ topology metadata; stated hypotheses (sphere or ball flags, parity of the
 dimension, Euler conditions, per-vertex premises) become preconditions of
 the report.  Checks always store both compared sides exactly.  The facts
 gates and checks share are cached on the complex, so each is computed once
-however many verifiers run.
+however many verifiers run, and a suite run evaluates each distinct gate
+once: its verifiers share the frozen precondition records.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -68,8 +70,15 @@ def _on_boundary(description: str, test: Callable[[object], bool]) -> Gate:
     )
 
 
+# One gate object per argument, so that a suite run meets it once.
+@lru_cache(maxsize=None)
 def _dim_at_least(n: int) -> Gate:
     return _on_dim(f"dimension >= {n}", lambda d: d >= n)
+
+
+@lru_cache(maxsize=None)
+def _of_kind(kind: str) -> Gate:
+    return _on_flag(f"{kind} complex", lambda gc: gc.complex.kind == kind)
 
 
 _nonempty = _on_dim("nonempty", lambda d: d >= 0)
@@ -153,13 +162,17 @@ class Verifier(_Record):
     checks: Callable[[object], list[Check]]
 
     def __call__(self, x) -> VerificationReport:
-        gc = as_generated(x)
+        return self._run(as_generated(x), {})
+
+    def _run(self, gc: GeneratedComplex, met: dict[Gate, Precondition]) -> VerificationReport:
+        """The report on ``gc``, each gate's record read from ``met`` or evaluated into it."""
         pre = []
         for stage in self.stages:
             blocked = False
             for gate in stage:
                 advisory = isinstance(gate, Advisory)
-                p = (gate.gate if advisory else gate)(gc)
+                test = gate.gate if advisory else gate
+                p = met[test] if test in met else met.setdefault(test, test(gc))
                 pre.append(p)
                 blocked = blocked or not (p.ok or advisory)
             if blocked:
@@ -175,8 +188,7 @@ def _verifier(name: str, suite: str, *stages, kind: str = "cubical"):
     """Register the decorated checks function under ``name`` in ``suite``."""
 
     def register(checks) -> Verifier:
-        kind_gate = _on_flag(f"{kind} complex", lambda gc: gc.complex.kind == kind)
-        entry = Verifier(name, kind, suite, ((kind_gate,),) + stages, checks)
+        entry = Verifier(name, kind, suite, ((_of_kind(kind),),) + stages, checks)
         REGISTRY.append(entry)
         return entry
 
@@ -507,16 +519,18 @@ SUITES: dict[str, tuple[str, tuple]] = {
 
 
 def run_suite(suite: str, x) -> list[VerificationReport]:
-    """Run a named verifier suite; "all" runs everything matching the kind."""
-    kind = as_generated(x).complex.kind
+    """Run a named verifier suite; "all" runs everything matching the kind.
+    The verifiers share one record per gate, evaluated on first use."""
+    gc = as_generated(x)
+    kind, met = gc.complex.kind, {}
     if suite == "all":
-        return [v(x) for v in REGISTRY if v.kind == kind]
+        return [v._run(gc, met) for v in REGISTRY if v.kind == kind]
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     suite_kind, fns = SUITES[suite]
     if suite_kind != kind:
         raise ValueError(f"suite {suite!r} applies to {suite_kind} complexes, got {kind}")
-    return [fn(x) for fn in fns]
+    return [fn._run(gc, met) for fn in fns]
 
 
 # The verifiers are exported under the names of their checks functions.

@@ -1,15 +1,20 @@
 """Document round-trips, parser errors, and the command line contract."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicomb
 from cubicomb import (
+    TOPOLOGY_TAGS,
     CubicalComplex,
     GeneratedComplex,
     ParseError,
@@ -28,7 +33,7 @@ from cubicomb import (
     stacked_sphere,
 )
 from cubicomb import cli, complexes, files
-from cubicomb.cli import entry
+from cubicomb.cli import INVARIANTS, entry
 from families import cubical_family, simplicial_family
 
 
@@ -396,6 +401,16 @@ def test_cli_gen_errors(tmp_path):
     assert entry(["gen", "prism", str(tmp_path / "missing.json"), "-o", out]) == 2
 
 
+@pytest.mark.parametrize("params", [[], ["a.json", "b.json"]])
+def test_cli_gen_prism_refuses_a_parameter_count_other_than_one(tmp_path, capsys, params):
+    out = tmp_path / "x.json"
+    assert entry(["gen", "prism", *params, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: prism takes one parameter: the document of the cubical base\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "family, params",
     [("torus", ["99999999999999999999", "3"]), ("solid-cube", ["99999999999999999999"])],
@@ -540,3 +555,50 @@ def test_readme_family_and_invariant_lists_match_the_cli():
 
     assert sorted(names_after("`gen` families:")) == sorted(cli.FAMILIES)
     assert names_after("`compute` invariants:") == list(cli.INVARIANTS)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(), st.text(max_size=2),
+    st.just([]), st.just({}),
+)
+
+
+@st.composite
+def _documents(draw) -> dict:
+    """A small document: cells of distinct small vertex ids, or of junk one
+    time in four, a dimension that matches them three times in four, a
+    topology tag or none, and one time in three up to two fields replaced
+    by junk."""
+    kind = draw(st.sampled_from(["cubical", "simplicial"]))
+    vertex = st.integers(0, 7) | _JUNK if draw(st.integers(0, 3)) == 0 else st.integers(0, 7)
+    sizes = st.sampled_from([1, 2, 4] if kind == "cubical" else [1, 2, 3, 4])
+    cell = sizes.flatmap(lambda n: st.lists(vertex, min_size=n, max_size=n, unique_by=repr))
+    cells = draw(st.lists(cell, max_size=3))
+    dims = [len(c).bit_length() - 1 if kind == "cubical" else len(c) - 1 for c in cells]
+    dim = max(dims, default=-1)
+    doc = {
+        "format_version": "1",
+        "kind": kind,
+        "dim": dim if draw(st.integers(0, 3)) else draw(st.integers(-1, 3)),
+        "cells": cells,
+    }
+    if draw(st.booleans()):
+        doc["topology"] = draw(st.sampled_from(TOPOLOGY_TAGS))
+        doc["polytopal"] = draw(st.booleans())
+    if draw(st.integers(0, 2)) == 0:
+        for field in draw(st.lists(st.sampled_from([*doc, "extra"]), min_size=1, max_size=2)):
+            doc[field] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=100)
+@given(doc=_documents())
+def test_cli_never_exits_4_on_small_documents(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = [["verify", "all", str(path)], ["verify", "all", str(path), "--machine"]]
+    runs += [["compute", invariant, str(path)] for invariant in INVARIANTS]
+    for argv in runs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = entry(argv)
+        assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())

@@ -1,5 +1,6 @@
 """Generated families: counts against oracles, metadata, determinism."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -27,13 +28,33 @@ from cubicomb import (
     stacked_sphere,
 )
 from cubicomb.files import serializes
+from cubicomb.generators import _grid_cells
 from families import PILE_SIDES, cubical_family, simplicial_family
+from test_acceptance import _descending_tuples
 from oracles import pile_f_counts, pile_face_sets, reference_stacked_ball_facets, torus_face_sets
 
 
 def test_metadata_consistent_across_families():
     for gc in cubical_family() + simplicial_family():
         check_topology_metadata(gc)
+
+
+# The criterion-2 pile shapes of at most 24 cells, and tori in dimensions 1-4.
+GRID_BUILDS = [(pile_of_cubes, s, False) for n in range(1, 5) for s in _descending_tuples(n, 24)] + [
+    (cubical_torus, s, True)
+    for s in [(3,), (4,), (5,), *product((3, 4, 5), repeat=2), *product((3, 4), repeat=3)]
+    + [(3, 3, 3, 3), (3, 4, 3, 5)]
+]
+
+
+def test_grids_built_without_the_pair_scan_equal_the_validated_build():
+    """The grid generators skip the pair scan, since their cells meet in
+    common faces by construction; this proves it on every shape here."""
+    for family, sides, wrap in GRID_BUILDS:
+        got = family(*sides).complex
+        want = CubicalComplex.from_cells(_grid_cells(sides, wrap))
+        for part in ("_dims", "_ids", "_maximal", "_keys", "_witness", "cells"):
+            assert list(getattr(got, part)) == list(getattr(want, part)), (family, sides, part)
 
 
 def test_cube_boundary_counts():

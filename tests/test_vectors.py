@@ -149,6 +149,13 @@ def test_transform_refusals_name_their_reason(call, message):
     assert (type(caught.value), str(caught.value)) == (ValueError, message)
 
 
+def test_the_cached_link_sum_refuses_an_empty_complex_on_every_call():
+    empty = CubicalComplex.empty()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="needs dimension >= 0"):
+            h_short_cubical_from_links(empty)
+
+
 def test_g_vector_conventions():
     h = h_simplicial(f_vector(cross_polytope_boundary(3).complex))
     g = g_vector(h, upto=1)

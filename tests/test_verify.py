@@ -44,12 +44,14 @@ from cubicomb import (
 )
 from cubicomb import CubicalCell
 from cubicomb import complexes
+from cubicomb import verify as verify_module
 from cubicomb.cli import _build_parser
 from cubicomb.verify import (
     CUBICAL_VERIFIERS,
     REGISTRY,
     SIMPLICIAL_VERIFIERS,
     SUITES,
+    _dim_at_least,
     _link_g2_at_most_2,
 )
 from families import cubical_family, simplicial_family
@@ -383,7 +385,7 @@ def _run_one_by_one(x):
 
 @pytest.mark.parametrize("runner", [_run_all, _run_one_by_one])
 def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
-    builds, sweeps = [], []
+    builds, sweeps, facts = [], [], Counter()
     sub = complexes._FaceTable._subcomplex
     facet_tables = complexes._facet_tables
 
@@ -399,13 +401,63 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
     sphere = pile_boundary(3, 2, 2)
     monkeypatch.setattr(complexes._FaceTable, "_subcomplex", counted_sub)
     monkeypatch.setattr(complexes, "_facet_tables", counted_facet_tables)
+    for name in ("_f_vector", "_reduced_euler", "_h_short_links"):
+        fact = vars(complexes.CubicalComplex).get(name) or vars(complexes._FaceTable)[name]
+
+        def counted_fact(C, name=name, build=fact.func):
+            facts[name, id(C)] += 1
+            return build(C)
+
+        monkeypatch.setattr(fact, "func", counted_fact)
     runner(ball)
     assert builds == [complexes.CubicalComplex]  # the boundary, built once
     assert sweeps == [ball.complex.dim]  # one ridge sweep, which also finds the free ridges
+    B = ball.complex.boundary
+    assert facts == {
+        ("_f_vector", id(ball.complex)): 1,
+        ("_f_vector", id(B)): 1,  # the boundary's, for the interior faces
+        ("_reduced_euler", id(ball.complex)): 1,
+        ("_h_short_links", id(ball.complex)): 1,
+    }
+    facts.clear()
     table = _CountedItems(sphere.complex.link_euler)
     vars(sphere.complex)["link_euler"] = table
     runner(sphere)
     assert table.sweeps == 1  # the Euler condition, tested once
+    assert set(facts.values()) == {1}
+    assert {name for name, _ in facts} == {"_f_vector", "_reduced_euler", "_h_short_links"}
+
+
+@pytest.mark.parametrize("family", [pile_of_cubes, pile_boundary])
+def test_verify_all_evaluates_each_distinct_gate_once(family, monkeypatch):
+    met = Counter()
+
+    def counted(description, ok, detail=""):
+        met[description] += 1
+        return Precondition(description, ok, detail)
+
+    gc = family(3, 2, 2)
+    monkeypatch.setattr(verify_module, "Precondition", counted)
+    reports = run_suite("all", gc)
+    assert set(met.values()) == {1}
+    assert set(met) == {p.description for r in reports for p in r.preconditions}
+    met.clear()
+    [fn(gc) for fn in CUBICAL_VERIFIERS]  # a verifier on its own evaluates its own gates
+    assert met["cubical complex"] == len(CUBICAL_VERIFIERS)
+
+
+def test_equal_gates_are_one_object():
+    assert _dim_at_least(1) is _dim_at_least(1)
+    kind_gates = {v.kind: v.stages[0][0] for v in REGISTRY}
+    assert all(v.stages[0] == (kind_gates[v.kind],) for v in REGISTRY)
+
+
+def test_verify_all_matches_the_verifiers_one_by_one():
+    for gc, fresh in zip(
+        cubical_family() + simplicial_family(), cubical_family() + simplicial_family()
+    ):
+        one_by_one = [fn(fresh) for fn in REGISTRY if fn.kind == fresh.complex.kind]
+        assert run_suite("all", gc) == one_by_one, gc.provenance
 
 
 @pytest.mark.parametrize(
