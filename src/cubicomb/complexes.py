@@ -19,8 +19,11 @@ Objects are immutable after construction and safe to share; derived data
 (incidence maps, link Euler characteristics, ridge degrees, the boundary,
 topological flags, h-vectors and vertex-link h- and g-vectors) is computed
 lazily by one descriptor, ``_cached``, which pauses the cycle collector as
-builds do and caches on the object: a subcomplex names its faces from the
-parent's closure keys and witnesses, and a vertex link also builds its table.
+builds do and caches on the object.  A subcomplex, the boundary or a
+simplicial vertex link, counts its faces without a table: the boundary by
+one sweep of its free ridges, a link from the parent's coface counts.  It
+builds its table on first use, and names its faces from the parent's
+closure keys and witnesses on a later one.
 """
 
 from __future__ import annotations
@@ -376,7 +379,8 @@ class _FaceTable:
     ``_name`` from a ``_lazy`` table's build, and the names, ``_index`` (each
     closure key to its number) and ``_witness``, from ``_name``; a subcomplex's,
     a boundary's or a vertex link's alike, are its parent's ``_ckeys`` and
-    ``_witness`` objects.  ``dim``, ``f_counts``, ``pure`` and ``repr`` read no names.
+    ``_witness`` objects.  ``dim``, ``f_counts``, ``pure`` and ``repr`` read no
+    names, and a ``_lazy`` table's ``dim``, ``f_counts`` and ``repr`` no table.
     """
 
     def __init__(self, dims: bytearray, ids: array, rows: Sequence[int], name):
@@ -473,27 +477,31 @@ class _FaceTable:
                 add_id(n)
         return dims, ids, rows, lambda: (index, witness)
 
-    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]]):
-        """A subcomplex read off this table with no closure lookups: each cell
-        is a row here and the offsets in it of the cell's own subface entries,
-        in its table order.  The faces are numbered as those entries first
-        meet them, and on first use they are named from this table's
-        ``_ckeys`` and ``_witness``: the same objects, not copies."""
-        ids, dims, seq, rows = self._ids, self._dims, array("i"), array("i")
-        for row, offsets in cells:
-            rows.append(len(seq))
-            seq.extend([ids[row + s] for s in offsets])
-        order = list(dict.fromkeys(seq))
-        number = dict(zip(order, range(len(order))))
-        # The lists, not self: a boundary cached on its parent must not hold it.
-        keys, witness = self._ckeys, self._witness
+    def _subcomplex(self, cells: Iterable[tuple[int, Sequence[int]]]) -> Callable[[], tuple]:
+        """The build of a subcomplex read off this table with no closure
+        lookups: each cell is a row here and the offsets in it of the cell's
+        own subface entries, in its table order.  The faces are numbered as
+        those entries first meet them, and on first use they are named from
+        this table's ``_ckeys`` and ``_witness``: the same objects, not copies.
+        The build reads this table's lists, not the table: a boundary cached
+        on its parent must not hold it."""
+        ids, dims, keys, witness = self._ids, self._dims, self._ckeys, self._witness
 
-        def names():
-            sub = [keys[m] for m in order]
-            return dict(zip(sub, range(len(sub)))), [witness[m] for m in order]
+        def build():
+            seq, rows = array("i"), array("i")
+            for row, offsets in cells:
+                rows.append(len(seq))
+                seq.extend([ids[row + s] for s in offsets])
+            order = list(dict.fromkeys(seq))
+            number = dict(zip(order, range(len(order))))
 
-        sub_dims = bytearray([dims[m] for m in order])
-        return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
+            def names():
+                sub = [keys[m] for m in order]
+                return dict(zip(sub, range(len(sub)))), [witness[m] for m in order]
+
+            sub_dims = bytearray([dims[m] for m in order])
+            return sub_dims, array("i", map(number.__getitem__, seq)), rows, names
+        return build
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, f={self.f_counts()})"
@@ -662,9 +670,11 @@ class _FaceTable:
         A free ridge at entry e of its one facet takes the entries inside e as
         its own, or, when a contained cell met it first with another witness,
         the entries at the masks its own subface table reads from the bits
-        of its corner positions in the facet."""
+        of its corner positions in the facet.  A ``_lazy`` table: one sweep,
+        run once, counts the faces here that lie inside the free ridges, and
+        the first use of anything else builds the table."""
         table, d, (_, facets, free) = self._table, self.dim, self._ridges  # refuses an impure one
-        ids, witness = self._ids, self._witness
+        ids, dims, witness = self._ids, self._dims, self._witness
         cells = []
         for row, e in ((self._maximal[i // len(facets)], facets[i % len(facets)]) for i in free):
             corners, sub = witness[ids[row]], witness[ids[row + e]]
@@ -673,7 +683,16 @@ class _FaceTable:
             else:
                 at, bits = _entry_at(table, d)[0], tuple([1 << corners.index(v) for v in sub])
                 cells.append((row, [at[sum(read(bits))] for _, read in table(d - 1)]))
-        return type(self)(*self._subcomplex(cells))
+
+        @lru_cache(maxsize=None)
+        def counts() -> tuple[int, ...]:
+            held = bytearray(len(dims))
+            for row, offsets in cells:
+                for s in offsets:
+                    held[ids[row + s]] = 1
+            by_dim = Counter(compress(dims, held))  # a closure skips no dimension
+            return tuple(map(by_dim.__getitem__, range(len(by_dim))))
+        return type(self)._lazy(self._subcomplex(cells), counts)
 
 
 class CubicalComplex(_FaceTable):
@@ -830,7 +849,7 @@ class SimplicialComplex(_FaceTable):
         of ``v`` unless it is built first, and its table from ``_link_cells``."""
         self._vertex(v)
         return SimplicialComplex._lazy(
-            lambda: self._subcomplex(self._link_cells[v]),
+            lambda: self._subcomplex(self._link_cells[v])(),
             lambda: _link_counts(self.vertex_coface_counts[v]),
         )
 

@@ -23,7 +23,8 @@ subfaces must hold exactly the position sets the count test of
 must be the larger cube's below its corner count.
 Links and boundaries have their face counts, dimension and purity read
 before anything names their faces, then their whole numbering compared, and
-must equal a copy named first.  Relabelling the vertices of either kind
+must equal a copy named first; a boundary's counts, read before it has a
+table, must be its table's and the reference boundary faces' by dimension.  Relabelling the vertices of either kind
 changes no face count and no report's name, status or checks.  Generated
 grid, torus, cube-boundary and prism cells equal their coordinate
 definitions, corner order included.
@@ -31,6 +32,7 @@ definitions, corner order included.
 
 import gc
 import weakref
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -70,7 +72,7 @@ from cubicomb.complexes import (
     _subface_tables,
 )
 from cubicomb.generators import _grid_cells
-from families import derived_simplicial_tables, simplicial_family
+from families import cubical_family, derived_simplicial_tables, simplicial_family
 from oracles import (
     cube_subfaces,
     grid_vertex,
@@ -342,6 +344,20 @@ def test_cubical_link_euler_matches_its_definition(cells):
         assert list(K.link_euler) == list(K.faces)
 
 
+def check_boundary_counts(K):
+    """The face counts of the boundary of ``K``, read while it holds no table:
+    they must be those of its own table, built after, and those of the
+    reference boundary faces by dimension."""
+    B = K.boundary
+    counts, dim = B.f_counts(), B.dim
+    assert "_build" in vars(B) and {"_dims", "_ids", "_maximal", "_name"}.isdisjoint(vars(B))
+    B.cells
+    assert B.f_counts() == counts == tuple(map(B._dims.count, range(dim + 1)))
+    by_dim = Counter(f[0] for f in reference_boundary_faces(K.faces, K.cells).values())
+    assert counts == tuple(by_dim[j] for j in range(len(by_dim)))
+    return counts
+
+
 def check_ridges_and_boundary(K):
     if not K.pure:
         with pytest.raises(NotPure):
@@ -372,6 +388,26 @@ def test_boundary_of_a_cube_met_first_through_a_contained_square():
     assert numbering(K)[:2] == reference_numbering([(c.dim, c.corners) for c in cells], "cubical")[:2]
     check_ridges_and_boundary(K)
     assert K.boundary.face({0, 1, 2, 3}).corners == (2, 0, 3, 1)
+
+
+@given(cubical_inputs())
+def test_cubical_boundary_counts_match_its_table_and_definition(cells):
+    K = valid_complex(cells)
+    if K is not None and K.pure:
+        check_boundary_counts(K)
+
+
+def test_boundary_counts_of_a_cube_met_first_through_a_contained_square():
+    cells = [CubicalCell(2, (2, 0, 3, 1)), CubicalCell(3, tuple(range(8)))]
+    assert check_boundary_counts(CubicalComplex.from_cells(cells)) == (8, 12, 6)
+
+
+def test_boundary_counts_match_the_built_table_on_the_families():
+    for member in cubical_family() + simplicial_family():
+        K = member.complex
+        if K.pure:
+            empty = member.topology in ("sphere", "torus") or K.dim == 0  # a point has no ridge
+            assert (check_boundary_counts(K) == ()) == empty, member.provenance
 
 
 @given(cubical_inputs())
@@ -578,6 +614,13 @@ def test_simplicial_rows_run_largest_first_then_in_number_order(facets):
 @given(facet_lists)
 def test_simplicial_ridges_and_boundary_match_their_definition(facets):
     check_ridges_and_boundary(build_simplicial(facets))
+
+
+@given(facet_lists)
+def test_simplicial_boundary_counts_match_its_table_and_definition(facets):
+    S = build_simplicial(facets)
+    if S.pure:
+        check_boundary_counts(S)
 
 
 @given(facet_lists, st.data())

@@ -27,6 +27,7 @@ from cubicomb import (
     solid_cube,
     stacked_cubical,
     stacked_simplicial_ball,
+    stacked_sphere,
     verify_adin_ds,
     verify_alternating_g_sum,
     verify_cubical_ball_ds,
@@ -55,6 +56,7 @@ from cubicomb.verify import (
     _link_g2_at_most_2,
 )
 from families import cubical_family, simplicial_family
+from oracles import reference_boundary_faces
 
 BOWTIE = GeneratedComplex(
     build_simplicial([[1, 2, 3], [3, 4, 5]]), "manifold-with-boundary", "bowtie"
@@ -383,15 +385,20 @@ def _run_one_by_one(x):
     return [fn(x) for fn in CUBICAL_VERIFIERS]
 
 
+def unbuilt(C):
+    """Whether the ``_lazy`` table ``C`` still holds its build and no table."""
+    return "_build" in vars(C) and {"_dims", "_ids", "_maximal", "_name"}.isdisjoint(vars(C))
+
+
 @pytest.mark.parametrize("runner", [_run_all, _run_one_by_one])
 def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
-    builds, sweeps, facts = [], [], Counter()
-    sub = complexes._FaceTable._subcomplex
+    reads, sweeps, facts = [], [], Counter()
+    boundary = vars(complexes._FaceTable)["boundary"]
     facet_tables = complexes._facet_tables
 
-    def counted_sub(self, cells):
-        builds.append(type(self))  # a subcomplex read off a built complex: the boundary
-        return sub(self, cells)
+    def counted_boundary(C, read=boundary.func):
+        reads.append(C)
+        return read(C)
 
     def counted_facet_tables(table, k):
         sweeps.append(k)
@@ -399,7 +406,7 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
 
     ball = pile_of_cubes(3, 2, 2)
     sphere = pile_boundary(3, 2, 2)
-    monkeypatch.setattr(complexes._FaceTable, "_subcomplex", counted_sub)
+    monkeypatch.setattr(boundary, "func", counted_boundary)
     monkeypatch.setattr(complexes, "_facet_tables", counted_facet_tables)
     for name in ("_f_vector", "_reduced_euler", "_h_short_links"):
         fact = vars(complexes.CubicalComplex).get(name) or vars(complexes._FaceTable)[name]
@@ -410,9 +417,10 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
 
         monkeypatch.setattr(fact, "func", counted_fact)
     runner(ball)
-    assert builds == [complexes.CubicalComplex]  # the boundary, built once
+    assert reads == [ball.complex]  # the boundary view, read once
     assert sweeps == [ball.complex.dim]  # one ridge sweep, which also finds the free ridges
     B = ball.complex.boundary
+    assert unbuilt(B)  # the boundary verifiers and gates only count it
     assert facts == {
         ("_f_vector", id(ball.complex)): 1,
         ("_f_vector", id(B)): 1,  # the boundary's, for the interior faces
@@ -426,6 +434,23 @@ def test_verify_all_computes_shared_facts_once(runner, monkeypatch):
     assert table.sweeps == 1  # the Euler condition, tested once
     assert set(facts.values()) == {1}
     assert {name for name, _ in facts} == {"_f_vector", "_reduced_euler", "_h_short_links"}
+
+
+def test_boundary_verifiers_count_the_boundary_and_spheres_build_theirs():
+    for suite, gc in (("ns-ds", stacked_simplicial_ball(3, 20)), ("all", pile_of_cubes(3, 2, 2))):
+        status = {r.name: r.status for r in run_suite(suite, gc)}
+        assert {status[name] for name in status if "-ds" in name} == {"pass"}
+        assert gc.complex.boundary.dim == gc.complex.dim - 1 and unbuilt(gc.complex.boundary)
+    for sphere, ball in (
+        (stacked_sphere(3, 20), stacked_simplicial_ball(4, 16)),
+        (pile_boundary(3, 2, 2), pile_of_cubes(3, 2, 2)),
+    ):
+        run_suite("all", sphere)
+        assert not unbuilt(sphere.complex)
+        K = ball.complex
+        free = reference_boundary_faces(K.faces, K.cells).values()
+        cells = sorted((f for f in free if f[0] == K.dim - 1), key=lambda f: sorted(f[1]))
+        assert [(c.dim, c.corners) for c in sphere.complex.cells] == cells
 
 
 @pytest.mark.parametrize("family", [pile_of_cubes, pile_boundary])
