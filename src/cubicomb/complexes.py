@@ -31,7 +31,7 @@ from __future__ import annotations
 import gc
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from functools import lru_cache, reduce, wraps
 from itertools import chain, combinations, compress, count, takewhile
 from operator import attrgetter, itemgetter
@@ -243,8 +243,14 @@ class Face(_Record):
 
 def _same_cube(first: tuple[int, ...], sub: tuple[int, ...]) -> None:
     """Refuse ``sub``, a second corner ordering of a cube with witness
-    ``first``, unless read as positions in ``first`` it is a symmetry."""
-    if not _cube_symmetry(tuple(map(first.index, sub))):
+    ``first``, unless read as positions in ``first`` it is a symmetry.  A
+    square's symmetries keep its diagonals, so ``sub[0]`` and ``sub[3]``
+    must be opposite in ``first``; a larger cube's verdict is cached."""
+    if len(sub) == 4:
+        same = first.index(sub[0]) ^ first.index(sub[3]) == 3
+    else:
+        same = _cube_symmetry(tuple(map(first.index, sub)))
+    if not same:
         raise InconsistentSharedFace(
             f"cells induce different cube structures on the shared vertex set {_fmt_key(first)}"
         )
@@ -428,16 +434,18 @@ class _FaceTable:
         return cls(*cls._close(()))
 
     @classmethod
-    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...]]]):
-        """Subface closure of ``(dim, corners)`` cells, taken in order.
+    def _close(cls, cells: Iterable[tuple[int, tuple[int, ...], Hashable]]):
+        """Subface closure of ``(dim, corners, key)`` cells, taken in order.
 
         Returns ``_dims``, ``_ids``, the row in ``_ids`` of each cell whose
         vertex set was not yet a face, and a function giving the names.  A new
-        face enters ``index`` under ``_key`` of its corners with the number
-        ``len(index)``, so the keys are in number order.  A cell whose vertex
-        set was already a face lies in an earlier cell and adds nothing.  Every
-        face of dimension 2 or more met again must read as its witness or a
-        cube symmetry of it; sorted simplex corners always read the same.
+        face enters ``index`` with the number ``len(index)``, so the keys are
+        in number order: a cell under ``key``, its corners' closure key made
+        by the caller, and a subface under ``_key`` of its corners.  A cell
+        whose vertex set was already a face lies in an earlier cell and adds
+        nothing.  Every face of dimension 2 or more met again must read as its
+        witness or a cube symmetry of it; sorted simplex corners always read
+        the same.
         """
         table, key_of = cls._table, cls._key
         index: dict = {}
@@ -447,16 +455,21 @@ class _FaceTable:
         ids = array("i")
         rows = array("i")
         add_dim, add_witness, add_id = dims.append, witness.append, ids.append
-        for dim, corners in cells:
-            n = index.get(key_of(corners))
+        for dim, corners, key in cells:
+            n = index.get(key)
             if n is not None:
                 if dim > 1 and witness[n] != corners:
                     _same_cube(witness[n], corners)
                 continue
             rows.append(len(ids))
+            if dim:  # a vertex cell is numbered with the vertices
+                n = index[key] = len(index)
+                add_dim(dim)
+                add_witness(corners)
+                add_id(n)
             entries = table(dim)
-            # Every entry but the last len(corners), which are the vertices.
-            for j, read in entries[: len(entries) - len(corners)]:
+            # Every entry after the cell but the last len(corners), which are the vertices.
+            for j, read in entries[1 : len(entries) - len(corners)]:
                 sub = read(corners)
                 key = key_of(sub)
                 n = index.get(key)
@@ -724,20 +737,21 @@ class CubicalComplex(_FaceTable):
         before one that contains it stays a cell.
         """
         distinct: dict[FaceKey, CubicalCell] = {}
-        repeated: list[CubicalCell] = []
+        repeated: list[tuple[FaceKey, CubicalCell]] = []
         for cell in cells:
             if not isinstance(cell, CubicalCell):
                 raise TypeError("from_cells expects CubicalCell values")
-            if distinct.setdefault(cell.key, cell) is not cell:
-                repeated.append(cell)
-        cell_list = list(distinct.values())
-        if not cell_list:
+            key = cell.key
+            if distinct.setdefault(key, cell) is not cell:
+                repeated.append((key, cell))
+        if not distinct:
             raise ValueError(
                 "at least one cell is required; use CubicalComplex.empty() for the empty complex"
             )
-        # A repeated vertex set is already a face when its turn comes, so the
-        # closure only checks that it describes the same cube.
-        dims, ids, rows, names = cls._close([(c.dim, c.corners) for c in cell_list + repeated])
+        # The dedupe's keys are the closure keys.  A repeated vertex set is
+        # already a face when its turn comes: the closure checks its cube.
+        keyed = chain(distinct.items(), repeated)
+        dims, ids, rows, names = cls._close([(c.dim, c.corners, key) for key, c in keyed])
         if validate:
             # A cell inside an earlier one has no row, and any pair it fails
             # its container fails first in scan order.
@@ -825,7 +839,7 @@ class SimplicialComplex(_FaceTable):
         if not distinct:
             raise ValueError("at least one nonempty facet is required")
         order = sorted(distinct, key=lambda c: (-len(c), c))
-        return cls(*cls._close((len(c) - 1, c) for c in order))
+        return cls(*cls._close((len(c) - 1, c, c) for c in order))
 
     @_cached
     def _link_cells(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
@@ -924,7 +938,7 @@ def link_face(K: CubicalComplex, face_or_key) -> SimplicialComplex:
         tuple([i for i, H in enumerate(cofacets) if H <= keys[G]])
         for G in sorted(cofaces, key=dims.__getitem__, reverse=True)
     )
-    return SimplicialComplex(*SimplicialComplex._close((len(s) - 1, s) for s in simplices))
+    return SimplicialComplex(*SimplicialComplex._close((len(s) - 1, s, s) for s in simplices))
 
 
 def boundary_complex(C: Complex) -> Complex:

@@ -1,6 +1,7 @@
 """Core complex construction, validation, links and boundaries."""
 
 import gc
+import random
 import weakref
 from itertools import permutations
 
@@ -214,6 +215,61 @@ def test_agreeing_readings_never_reach_the_cube_test(monkeypatch):
     moved = CubicalComplex.from_cells(cells)
     assert calls
     assert moved == K
+
+
+def relabelled_torus():
+    """The cells of ``cubical_torus(3, 3, 3)`` with its vertices relabelled
+    and each cell's corners read through a random symmetry of the 3-cube
+    (axes permuted, then some reflected); also the same relabelled cells
+    with no symmetry applied."""
+    rng = random.Random(28)
+    K = cubical_torus(3, 3, 3).complex
+    label = dict(zip(K.vertices, rng.sample(range(1000), len(K.vertices))))
+    cells, plain = [], []
+    for c in K.cells:
+        axes, flips = rng.sample(range(3), 3), rng.randrange(8)
+        q = [sum(1 << axes[t] for t in range(3) if b >> t & 1) ^ flips for b in range(8)]
+        cells.append(CubicalCell(3, tuple(label[c.corners[p]] for p in q)))
+        plain.append(CubicalCell(3, tuple(label[v] for v in c.corners)))
+    return cells, plain
+
+
+def test_a_validated_cubical_build_keys_each_cell_once(monkeypatch):
+    cells, _ = relabelled_torus()
+    expected = CubicalComplex.from_cells(cells)
+    made = []
+
+    def key(corners):
+        made.append(tuple(corners))
+        return frozenset(corners)
+
+    monkeypatch.setattr(CubicalComplex, "_key", staticmethod(key))
+    K = CubicalComplex.from_cells(cells)
+    assert made  # the subfaces are keyed through _key
+    # The only key of a cell's vertex set is the one from_cells dedupes by.
+    assert {c.corners for c in cells}.isdisjoint(made)
+    assert K == expected and K.f_counts() == expected.f_counts()
+
+
+def test_a_reread_square_takes_the_xor_test_not_the_cube_test(monkeypatch):
+    squares, cube_tests = [], []
+    same_cube, cube_symmetry = complexes._same_cube, complexes._cube_symmetry
+
+    def counted(first, sub):
+        squares.append(len(sub) == 4)
+        return same_cube(first, sub)
+
+    monkeypatch.setattr(complexes, "_same_cube", counted)
+    monkeypatch.setattr(complexes, "_cube_symmetry", lambda q: cube_tests.append(q) or cube_symmetry(q))
+    cells, plain = relabelled_torus()
+    assert CubicalComplex.from_cells(cells) == CubicalComplex.from_cells(plain)
+    assert squares and all(squares)
+    # Two corners of one cell swapped: its squares through both are twisted.
+    c = cells[13]
+    cells[13] = CubicalCell(3, (c.corners[1], c.corners[0]) + c.corners[2:])
+    with pytest.raises(InconsistentSharedFace, match="cells induce different cube structures"):
+        CubicalComplex.from_cells(cells)
+    assert cube_tests == []
 
 
 def test_cell_dominated_by_another_is_dropped():
